@@ -900,6 +900,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         ServiceDaemon,
         WallClock,
     )
+    from repro.service.core import plan_pool
     from repro.trace.generator import open_loop_arrivals
 
     cluster = alibaba_sim_cluster(
@@ -934,11 +935,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
         )
     publisher = TelemetryPublisher(label="serve", run_id="serve",
                                    total_jobs=args.jobs or None)
+    # Plans run in one spawned worker process, so status reads never
+    # wait on Algorithm 1; the worker starts with the first dispatch.
     core = ServiceCore(
         cluster, scheduler, slots=args.slots,
         admission=AdmissionConfig(max_pending=args.max_pending,
                                   max_stages=args.max_stages),
-        publisher=publisher,
+        publisher=publisher, executor=plan_pool(),
     )
     daemon = ServiceDaemon(core, WallClock(scale=args.time_scale),
                            arrivals=arrivals, drain_after=drain_after)
@@ -976,6 +979,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         stats = asyncio.run(_run())
     except KeyboardInterrupt:  # pragma: no cover - interactive fallback
         daemon.stop()
+        core.close()
         stats = daemon.stats()
     payload = {
         "command": "serve",

@@ -224,22 +224,14 @@ class TelemetryPublisher:
 
     def schedule_computed(self, scheduler: str, info: Mapping[str, Any]) -> None:
         """Publish an Algorithm-1 (or baseline) scheduling decision."""
-        fields: "dict[str, Any]" = {"run": self.run_id, "scheduler": scheduler}
-        schedule = info.get("schedule") if info else None
-        if schedule is not None:
-            delays = getattr(schedule, "delays", None)
-            if delays:
-                fields["stages_delayed"] = sum(
-                    1 for d in delays.values() if d > 0
-                )
-                fields["total_delay_s"] = float(sum(delays.values()))
-            predicted = getattr(schedule, "predicted_makespan", None)
-            baseline = getattr(schedule, "baseline_makespan", None)
-            if predicted is not None:
-                fields["predicted_makespan"] = float(predicted)
-            if baseline is not None:
-                fields["baseline_makespan"] = float(baseline)
-        self.bus.publish("schedule", **fields)
+        self.publish_schedule(scheduler, schedule_summary(info))
+
+    def publish_schedule(
+        self, scheduler: str, summary: Mapping[str, Any]
+    ) -> None:
+        """Publish a decision already reduced by :func:`schedule_summary`."""
+        self.bus.publish("schedule", run=self.run_id, scheduler=scheduler,
+                         **summary)
 
     def observe_jcts(self, jcts: Iterable[float]) -> None:
         """Bulk JCT publication for the parallel-replay merge path."""
@@ -367,6 +359,44 @@ class TelemetryPublisher:
     @property
     def events_total(self) -> int:
         return self._events_base + self._live_events
+
+
+def schedule_summary(info: "Mapping[str, Any] | None") -> "dict[str, Any]":
+    """The plain-number summary of a ``Prepared.info`` scheduling decision.
+
+    Delayed-stage count and total delay (when any stage is delayed),
+    predicted and baseline makespans (when the strategy plans).
+    """
+    fields: "dict[str, Any]" = {}
+    schedule = info.get("schedule") if info else None
+    if schedule is not None:
+        delays = getattr(schedule, "delays", None)
+        if delays:
+            fields["stages_delayed"] = sum(1 for d in delays.values() if d > 0)
+            fields["total_delay_s"] = float(sum(delays.values()))
+        predicted = getattr(schedule, "predicted_makespan", None)
+        baseline = getattr(schedule, "baseline_makespan", None)
+        if predicted is not None:
+            fields["predicted_makespan"] = float(predicted)
+        if baseline is not None:
+            fields["baseline_makespan"] = float(baseline)
+    return fields
+
+
+class FaultBuffer:
+    """A fault hook that records events instead of publishing them.
+
+    A simulation running where the bus is out of reach (a planning
+    worker process) collects its fault events here; the owner of the
+    bus later replays them, in firing order, through
+    :meth:`TelemetryPublisher.fault_event`.
+    """
+
+    def __init__(self) -> None:
+        self.events: "list[tuple[str, dict]]" = []
+
+    def __call__(self, kind: str, fields: Mapping[str, Any]) -> None:
+        self.events.append((kind, dict(fields)))
 
 
 def fault_hook(

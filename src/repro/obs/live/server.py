@@ -78,6 +78,9 @@ class _Handler(BaseHTTPRequestHandler):
     # Set by LiveServer when constructing the server class.
     server_version = "repro-live/1"
     protocol_version = "HTTP/1.1"
+    # Headers and body leave in two writes; with Nagle on, the body
+    # waits for the client's delayed ACK (~40 ms per keep-alive reply).
+    disable_nagle_algorithm = True
 
     @property
     def live(self) -> "LiveServer":

@@ -25,7 +25,9 @@ The daemon is also the **control facade** the HTTP layer calls: the
 .LiveServer` is this class.  Control methods are thread-safe (the core
 locks internally) and wake the pump across threads via
 ``loop.call_soon_threadsafe``, so a submission is dispatched at the
-next loop turn rather than at the next poll.
+next loop turn rather than at the next poll.  Planning never holds the
+core's lock (see :mod:`repro.service.core`), so status reads answer
+while the pump waits for a plan.
 """
 
 from __future__ import annotations
@@ -127,7 +129,8 @@ class ServiceDaemon:
 
         The coroutine finishes when the core has drained — every
         admitted job reached a terminal state and admission is closed —
-        so ``await daemon.run()`` *is* graceful shutdown.
+        so ``await daemon.run()`` *is* graceful shutdown.  On the way
+        out, drained or stopped, it shuts down the core's executor.
         """
         self._loop = asyncio.get_running_loop()
         self._wake = asyncio.Event()
@@ -142,6 +145,7 @@ class ServiceDaemon:
             if arrival_task is not None and not arrival_task.done():
                 arrival_task.cancel()
                 await asyncio.gather(arrival_task, return_exceptions=True)
+            self.core.close()
         return self.core.stats()
 
     async def _play_arrivals(self) -> None:
@@ -161,7 +165,13 @@ class ServiceDaemon:
             self.poke()
 
     async def _pump(self, arrival_task: "Optional[asyncio.Task]") -> None:
-        """Advance the core whenever time reaches something actionable."""
+        """Advance the core whenever time reaches something actionable.
+
+        ``advance_to`` blocks this loop while a job plans (the core's
+        lock stays free for HTTP threads).  A plan claimed on another
+        thread — a cancel redispatching — keeps ``drained`` false until
+        it commits; that thread pokes the pump afterwards.
+        """
         assert self._wake is not None
         while True:
             with self._lock:

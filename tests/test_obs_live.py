@@ -350,6 +350,28 @@ class TestServer:
         status, _, _ = _get(server.url + "/nope")
         assert status == 404
 
+    def test_keepalive_replies_are_not_held_by_nagle(self, live_plane):
+        """Replies go out in two writes; with Nagle on, the second waits
+        for the client's delayed ACK and every keep-alive reply takes
+        ~40 ms.  With TCP_NODELAY they take well under a millisecond."""
+        import http.client
+
+        _, _, server = live_plane
+        conn = http.client.HTTPConnection(server.host, server.port,
+                                          timeout=10)
+        latencies = []
+        try:
+            for _ in range(20):
+                t0 = time.perf_counter()
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                response.read()
+                latencies.append(time.perf_counter() - t0)
+                assert response.status == 200
+        finally:
+            conn.close()
+        assert sorted(latencies)[len(latencies) // 2] < 0.02
+
     def test_events_replay_without_follow(self, live_plane):
         pub, _, server = live_plane
         for _ in range(5):

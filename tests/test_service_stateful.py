@@ -2,11 +2,14 @@
 
 A :class:`hypothesis.stateful.RuleBasedStateMachine` fires arbitrary
 interleavings of the service's whole control surface — submit, status,
-cancel (queued, running, terminal, unknown), time advance, and drain —
-against a :class:`~repro.service.core.ServiceCore` whose scheduler
-carries a seeded chaos fault plan, so dispatched jobs can also *fail*
-mid-interleaving.  After every rule and at teardown the machine checks
-the global invariants the PR-10 issue pins down:
+cancel (queued, running, planning, terminal, unknown), time advance,
+and drain — against a :class:`~repro.service.core.ServiceCore` whose
+scheduler carries a seeded chaos fault plan, so dispatched jobs can
+also *fail* mid-interleaving.  Dispatch's two locked steps are rules of
+their own: ``claim`` takes a job onto a slot and ``commit`` records its
+plan later, so cancels, drains, and advances land while a job plans.
+After every rule and at teardown the machine checks these global
+invariants:
 
 * **no lost job** — every admitted submission is accounted for:
   ``admitted == queued + running + completed + failed + cancelled``;
@@ -16,14 +19,22 @@ the global invariants the PR-10 issue pins down:
 * **cancelled jobs never report JCTs** — ``jct is None`` whenever a
   record says cancelled, even if its simulation already ran;
 * occupancy bounds hold (queue ≤ max_pending, running ≤ slots) and
-  time is monotone along each lifecycle.
+  time is monotone along each lifecycle;
+* a claimed but uncommitted job keeps the service busy: never idle,
+  never drained, no ``drained`` event.
 """
 
 from __future__ import annotations
 
 from hypothesis import settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.cluster import uniform_cluster
 from repro.faults import generate_plan
@@ -55,6 +66,8 @@ class ServiceMachine(RuleBasedStateMachine):
                                             run_id="svc")
         self.core = None
         self.submitted_ids: "list[str]" = []
+        #: Claims taken by the ``claim`` rule and not yet committed.
+        self.planning: list = []
         self.terminal_seen: "dict[str, str]" = {}
         self.next_id = 0
 
@@ -127,6 +140,40 @@ class ServiceMachine(RuleBasedStateMachine):
             assert record.state is JobState.CANCELLED
             assert record.jct is None
 
+    @precondition(lambda self: self.core is not None
+                  and self.core.stats()["queue_depth"] > 0)
+    @rule()
+    def claim(self):
+        claim = self.core.claim(self.core.now)
+        if claim is not None:
+            assert claim.record.state is JobState.RUNNING
+            self.planning.append(claim)
+
+    @precondition(lambda self: self.planning)
+    @rule(pick=st.integers(0, 10_000))
+    def commit(self, pick):
+        claim = self.planning.pop(pick % len(self.planning))
+        cancelled = claim.record.state is JobState.CANCELLED
+        before, last_seq = claim.record.to_dict(), self.bus.last_seq
+        self.core.commit(claim, self.core.compute(claim))
+        if cancelled:  # cancelled while planning: the outcome is dropped
+            assert claim.record.to_dict() == before
+            assert all(e["type"] == "drained"
+                       for e in self.bus.events_since(last_seq))
+
+    @rule()
+    def settle(self):
+        """Finish every committed job; uncommitted claims keep planning."""
+        self.core.run_until_idle()
+
+    @precondition(lambda self: self.planning)
+    @rule(pick=st.integers(0, 10_000))
+    def cancel_planning(self, pick):
+        claim = self.planning[pick % len(self.planning)]
+        record = self.core.cancel(claim.record.service_id)
+        if record is not None:
+            assert record.state is JobState.CANCELLED
+
     @rule()
     def cancel_unknown(self):
         assert self.core.cancel("never-submitted") is None
@@ -150,6 +197,15 @@ class ServiceMachine(RuleBasedStateMachine):
         assert self.core.draining
 
     # -- invariants ----------------------------------------------------- #
+
+    @invariant()
+    def planning_keeps_the_service_busy(self):
+        if self.core is None or not self.planning:
+            return
+        assert not self.core.idle
+        assert not self.core.drained
+        assert not self.core.stats()["drained"]
+        assert all(e["type"] != "drained" for e in self.bus.events_since())
 
     @invariant()
     def books_balance(self):
@@ -190,6 +246,8 @@ class ServiceMachine(RuleBasedStateMachine):
     def teardown(self):
         if self.core is None:
             return
+        for claim in self.planning:
+            self.core.commit(claim, self.core.compute(claim))
         self.core.drain()
         self.core.run_until_idle()
         s = self.core.stats()
@@ -220,7 +278,7 @@ class ServiceMachine(RuleBasedStateMachine):
 
 
 ServiceMachine.TestCase.settings = settings(
-    max_examples=15, stateful_step_count=12, deadline=None
+    max_examples=40, stateful_step_count=20, deadline=None
 )
 
 TestServiceMachine = ServiceMachine.TestCase
