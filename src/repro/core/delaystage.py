@@ -44,7 +44,12 @@ from repro.core.schedule import DelaySchedule
 from repro.dag.graph import parallel_stage_set
 from repro.dag.job import Job
 from repro.dag.paths import execution_paths
-from repro.model.interference import EvaluationCache, evaluate_schedule, probe_schedule
+from repro.model.interference import (
+    EvaluationCache,
+    WithheldTrajectory,
+    evaluate_schedule,
+    probe_schedule,
+)
 from repro.model.perf import standalone_stage_times
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.simulator.simulation import SimulationConfig
@@ -167,15 +172,21 @@ def delay_stage_schedule(
     started = _time.perf_counter()
 
     members = parallel_stage_set(job)
+    # Model evaluations run the scalar engine: probe models stay far
+    # below the vector engine's threshold, and only the scalar engine
+    # forks the scans' shared prefixes.
     if params.sim_config is not None:
         eval_config = _dc_replace(
             params.sim_config,
             track_metrics=False,
             track_occupancy=False,
             track_events=False,
+            vector=False,
         )
     else:
-        eval_config = SimulationConfig(track_metrics=False, track_events=False)
+        eval_config = SimulationConfig(
+            track_metrics=False, track_events=False, vector=False
+        )
 
     if not members:
         # Fully sequential job: nothing to delay.
@@ -229,14 +240,15 @@ def delay_stage_schedule(
         return ev
 
     def _probe(
-        model: Job,
+        prefix: WithheldTrajectory,
         hidden: "frozenset[str]",
         trial: dict,
         horizon: float,
         watch: "set[str]",
     ) -> "dict[str, float]":
         """Truncated evaluation: exact finish times up to ``horizon`` or
-        until all of ``watch`` finished; missing stages finish later."""
+        until all of ``watch`` finished; missing watched stages finish
+        later.  Simulated as a fork of the scan's shared prefix."""
         nonlocal evaluations
         if cache is not None:
             hit = cache.get(EvaluationCache.key(hidden, trial))
@@ -244,8 +256,9 @@ def delay_stage_schedule(
                 return hit.stage_finish
         evaluations += 1
         return probe_schedule(
-            model, cluster, trial, horizon=horizon, watch=watch,
+            prefix.job, cluster, trial, horizon=horizon, watch=watch,
             config=eval_config, pair_capacities=pair_capacities,
+            prefix=prefix,
         )
 
     # The admissible prune assumes stage durations never beat their
@@ -299,6 +312,10 @@ def delay_stage_schedule(
                 candidates.append(min(x, upper))
                 x += slot
 
+            # One withheld trajectory per scan: every candidate shares
+            # it up to its release instant (built on the first probe).
+            prefix: "WithheldTrajectory | None" = None
+
             scan_t0 = _time.perf_counter() - started
             scanned: "list[list[float]]" = []
             rejected: "list[float]" = []
@@ -338,7 +355,12 @@ def delay_stage_schedule(
                 # is never simulated.
                 if params.bound_prune:
                     horizon = best_obj if best_obj is not None else _math.inf
-                    finish = _probe(model, hidden, trial, horizon, visible)
+                    if prefix is None:
+                        prefix = WithheldTrajectory(
+                            model, cluster, delays, stage_id,
+                            config=eval_config, pair_capacities=pair_capacities,
+                        )
+                    finish = _probe(prefix, hidden, trial, horizon, visible)
                     obj = max(finish.get(sid, _math.inf) for sid in visible)
                     if _math.isinf(obj):
                         horizon_rejected += 1

@@ -18,7 +18,7 @@ the resulting 1.6 %–9.1 % error).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
 from repro.cluster.spec import ClusterSpec
@@ -29,7 +29,9 @@ from repro.simulator.simulation import (
     Simulation,
     SimulationConfig,
     SimulationResult,
+    StageRecord,
 )
+from repro.verify import sanitizer as _sanitizer
 
 
 @dataclass(frozen=True)
@@ -146,6 +148,60 @@ def evaluate_schedule(
     )
 
 
+class WithheldTrajectory:
+    """One Algorithm 1 scan's shared prefix.
+
+    Every candidate delay ``x`` of the scanned stage ``k`` produces the
+    same trajectory up to ``k``'s release instant ``ready(k) + x``; only
+    the suffix differs.  This object runs the model once with ``k``
+    *withheld* (never submitted) and, per candidate, advances that run
+    to the release instant, forks it, releases ``k`` in the fork, and
+    simulates only the suffix (see :meth:`Simulation.advance_withheld`
+    and :meth:`Simulation.fork`).  Candidates must come in ascending
+    delay order — the shared run cannot move backwards.
+
+    ``delays`` is the table of every *other* stage; ``k``'s own entry,
+    if present, is ignored.  Probes always run the scalar engine, the
+    only one that forks (probe models are small, below the vector
+    engine's threshold anyway), without metric tracking, which forks
+    do not copy and probes never read.
+    """
+
+    __slots__ = ("job", "stage_id", "delays", "_sim")
+
+    def __init__(
+        self,
+        job: Job,
+        cluster: ClusterSpec,
+        delays: "Mapping[str, float]",
+        stage_id: str,
+        *,
+        config: "SimulationConfig | None" = None,
+        pair_capacities: "dict[tuple[str, str], float] | None" = None,
+    ) -> None:
+        cfg = config or SimulationConfig(track_metrics=False, track_events=False)
+        if cfg.vector or cfg.track_metrics:
+            cfg = replace(cfg, vector=False, track_metrics=False)
+        self.job = job
+        self.stage_id = stage_id
+        self.delays = {sid: d for sid, d in delays.items() if sid != stage_id}
+        self._sim = Simulation(cluster, cfg, pair_capacities=pair_capacities)
+        self._sim.add_job(job, FixedDelayPolicy(self.delays))
+        self._sim.withhold(job.job_id, stage_id)
+
+    def probe(
+        self, delay: float, horizon: float = math.inf,
+        watch: "Iterable[str] | None" = None,
+    ) -> "dict[tuple[str, str], StageRecord]":
+        """Stage records of the run releasing the stage ``delay`` after
+        it became ready, truncated at ``horizon`` or once every stage
+        in ``watch`` finished (:meth:`Simulation.run_truncated`)."""
+        self._sim.advance_withheld(delay, horizon)
+        fork = self._sim.fork()
+        fork.release(delay)
+        return fork.run_truncated(horizon, watch=set(watch) if watch else None)
+
+
 def probe_schedule(
     job: Job,
     cluster: ClusterSpec,
@@ -155,6 +211,7 @@ def probe_schedule(
     watch: "Iterable[str] | None" = None,
     config: "SimulationConfig | None" = None,
     pair_capacities: "dict[tuple[str, str], float] | None" = None,
+    prefix: "WithheldTrajectory | None" = None,
 ) -> dict[str, float]:
     """Truncated candidate evaluation: finish times up to a stop point.
 
@@ -162,20 +219,43 @@ def probe_schedule(
     clock at ``horizon`` or as soon as every stage in ``watch`` has
     finished, returning finish times only for stages that completed by
     then — exact values, since the trajectory up to the stop point is
-    identical to the full run's prefix.  A stage missing from the
-    returned map finishes *strictly after* the horizon.
+    identical to the full run's prefix.  A *watched* stage missing from
+    the returned map finishes strictly after the horizon.  After a
+    watch stop, a missing unwatched stage need not finish after the
+    horizon: the run simply stopped before it did.
 
     Algorithm 1 uses this with ``watch = the visible stages`` and
     ``horizon = incumbent makespan``: if any watched stage is missing,
     the candidate provably cannot beat the incumbent; either way the
     (often long) model tail is never simulated.
+
+    Every probe is a forked :class:`WithheldTrajectory`: ``prefix`` is
+    the scan's shared one, whose withheld stage takes its delay from
+    ``delays`` (the other entries must match the prefix's table);
+    without it the probe builds a throwaway prefix withholding the
+    table's last stage of the job (or the job's first stage).
     """
-    cfg = config or SimulationConfig(track_metrics=False, track_events=False)
-    sim = Simulation(cluster, cfg, pair_capacities=pair_capacities)
-    sim.add_job(job, FixedDelayPolicy(dict(delays)))
-    records = sim.run_truncated(horizon, watch=set(watch) if watch else None)
+    if prefix is None:
+        stage_ids = job.stage_ids
+        held = next((sid for sid in reversed(delays) if sid in stage_ids),
+                    stage_ids[0])
+        prefix = WithheldTrajectory(
+            job, cluster, delays, held, config=config,
+            pair_capacities=pair_capacities,
+        )
+    elif _sanitizer.ENABLED:
+        rest = {sid: d for sid, d in delays.items() if sid != prefix.stage_id}
+        if rest != prefix.delays:
+            raise _sanitizer.SanitizerError(
+                "probe delays disagree with the prefix's table outside "
+                f"stage {prefix.stage_id!r}"
+            )
+    records = prefix.probe(delays.get(prefix.stage_id, 0.0), horizon, watch)
+    # The shared prefix may already run past this probe's horizon (an
+    # earlier probe had a later one): drop what finished after it, as a
+    # run truncated at the horizon never gets there.
     return {
         sid: rec.finish_time
         for (_jid, sid), rec in records.items()
-        if not math.isnan(rec.finish_time)
+        if rec.finish_time <= horizon
     }

@@ -83,12 +83,6 @@ class DelayStageScheduler(Scheduler):
             self.params = replace(
                 self.params, sim_config=replace(base, incremental=False)
             )
-        if not vector:
-            # Same end-to-end bisection contract as --no-incremental:
-            # the planning evaluations drop to the scalar object engine
-            # alongside the execution run.
-            base = self.params.sim_config or SimulationConfig(track_metrics=False)
-            self.params = replace(self.params, sim_config=replace(base, vector=False))
         self.profiled = profiled
         self.sample_fraction = sample_fraction
         self.profiling_noise = profiling_noise

@@ -25,6 +25,7 @@ Execution semantics per stage (paper Eq. (1) / Fig. 8):
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Mapping, Protocol
@@ -45,6 +46,20 @@ from repro.verify import sanitizer as _sanitizer
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.injector import FaultInjector, FaultStats
     from repro.faults.plan import FaultPlan
+
+
+# Event kinds of the engine events a Simulation schedules: timers and
+# work-item completions are tuples ``(kind, *ids)`` resolved against the
+# simulation's own state by :meth:`Simulation._dispatch`, never closures
+# over its objects (what lets :meth:`Simulation.fork` copy a run).
+_FLOW_DONE = 0  # (kind, stage key, worker)
+_COMPUTE_DONE = 1  # (kind, stage key, worker)
+_WRITE_DONE = 2  # (kind, stage key, worker)
+_TASK_DONE = 3  # (kind, stage key, worker)
+_PREFETCH_DONE = 4  # (kind, reader stage key, dst worker, (producer key, src))
+_SUBMIT = 5  # (kind, stage key)
+_JOB_START = 6  # (kind, job id)
+_DEGRADE = 7  # (kind, index into Simulation._injections)
 
 
 class SubmissionPolicy(Protocol):
@@ -313,9 +328,12 @@ class _StageRun:
         "compute_volume",
         "retries",
         "regated",
+        "owner",
     )
 
-    def __init__(self, job: Job, stage_id: str, workers: list[str]) -> None:
+    def __init__(
+        self, job: Job, stage_id: str, workers: list[str], owner: object = None
+    ) -> None:
         self.job = job
         self.stage = job.stage(stage_id)
         self.key = (job.job_id, stage_id)
@@ -337,6 +355,32 @@ class _StageRun:
         #: (``None`` outside a recompute — the re-completion then
         #: releases exactly these instead of every child).
         self.regated: "list[str] | None" = None
+        #: Token of the simulation allowed to mutate this run in place
+        #: (see :meth:`Simulation.fork`); another holder copies it first.
+        self.owner = owner
+
+    def copy(self, owner: object) -> "_StageRun":
+        """Independent copy of the mutable state (spec objects shared)."""
+        new = _StageRun.__new__(_StageRun)
+        new.job = self.job
+        new.stage = self.stage
+        new.key = self.key
+        r = self.record
+        new.record = StageRecord(r.job_id, r.stage_id, r.ready_time, r.submit_time,
+                                 r.read_done_time, r.compute_done_time, r.finish_time)
+        new.remaining_parents = self.remaining_parents
+        new.submitted = self.submitted
+        new.pending_reads = dict(self.pending_reads)
+        new.prefetch_assigned = dict(self.prefetch_assigned)
+        new.parts_read_done = set(self.parts_read_done)
+        new.parts_compute_done = set(self.parts_compute_done)
+        new.parts_write_done = set(self.parts_write_done)
+        new.compute_active = set(self.compute_active)
+        new.compute_volume = self.compute_volume
+        new.retries = self.retries
+        new.regated = list(self.regated) if self.regated is not None else None
+        new.owner = owner
+        return new
 
 
 class Simulation:
@@ -385,6 +429,7 @@ class Simulation:
             allocate=self._allocate,
             observe=self.metrics.observe if self.metrics else None,
             progress=progress,
+            dispatch=self._dispatch,
         )
         self._scoped = (
             ScopedAllocator(self, core=getattr(self.engine, "core", None))
@@ -412,6 +457,19 @@ class Simulation:
         # outside run_truncated().
         self._watch_remaining: "set[str] | None" = None
         self._started = False
+        self._ran = False
+        # Fork bookkeeping: keys of stages that are ready but unfinished
+        # (the runs a fork copies), and the token marking the runs this
+        # simulation may mutate in place.
+        self._live: "set[tuple[str, str]]" = set()
+        self._token = object()
+        # Withheld stage (see withhold()): its key, the timer sequence
+        # number reserved when it became ready, its release delay once
+        # released, and the latest release instant probed so far.
+        self._held: "tuple[str, str] | None" = None
+        self._held_seq: "int | None" = None
+        self._held_delay: "float | None" = None
+        self._held_floor = -math.inf
         #: Fault injector; None (no overhead, byte-identical event logs)
         #: unless the config carries a non-empty fault plan.  Imported
         #: lazily so the simulator has no hard dependency on the fault
@@ -494,31 +552,176 @@ class Simulation:
             raise ValueError("submit_time must be >= 0")
         self._jobs[job.job_id] = (job, policy or ImmediatePolicy(), submit_time)
 
+    def withhold(self, job_id: str, stage_id: str) -> None:
+        """Never submit this stage until :meth:`release` says when.
+
+        The *withheld trajectory* — the run with the stage held back —
+        is the prefix every candidate delay of the stage shares: it is
+        identical to the run with any delay ``x`` up to the instant
+        ``ready + x``.  When the stage becomes ready the simulation
+        reserves the timer sequence number its submission would have
+        taken, so a later :meth:`release` orders the submission among
+        same-instant timers exactly as the unwithheld run does.
+        Requires the scalar engine (``vector=False``), like
+        :meth:`fork`.
+        """
+        if self._started:
+            raise RuntimeError("withhold() must be called before the run starts")
+        if type(self.engine) is not FluidEngine:
+            raise ValueError("withholding a stage requires the scalar engine "
+                             "(SimulationConfig.vector=False)")
+        if job_id not in self._jobs or stage_id not in self._jobs[job_id][0].stage_ids:
+            raise KeyError(f"no stage {stage_id!r} in job {job_id!r}")
+        self._held = (job_id, stage_id)
+
+    def advance_withheld(self, delay: float, horizon: float = math.inf) -> None:
+        """Advance the withheld trajectory up to the withheld stage's
+        release instant ``ready + delay`` (or ``horizon``, if earlier).
+
+        The engine pauses *before* the step that would submit the
+        stage (see :meth:`FluidEngine.run`'s ``pause``), so a
+        :meth:`fork` taken afterwards and :meth:`release`-d with
+        ``delay`` continues exactly the run that delays the stage by
+        ``delay``.  Release instants must not decrease from one call to
+        the next: the trajectory cannot move backwards.
+        """
+        if self._held is None or self._held_delay is not None:
+            raise RuntimeError("advance_withheld() needs an unreleased withheld stage")
+        if not self._started:
+            self._start()
+        engine = self.engine
+        limit = None if math.isinf(horizon) else horizon
+        if self._held_seq is None:
+            # Up to the stage's readiness (its _stage_ready stops the
+            # engine), never past the horizon.
+            engine.run(pause=limit)
+            if self._held_seq is None:
+                return
+        release = self._release_instant(delay)
+        self._held_floor = release
+        engine.run(pause=release if limit is None else min(release, limit))
+
+    def release(self, delay: float) -> None:
+        """Submit the withheld stage ``delay`` seconds after it became
+        ready — immediately scheduled if it already is, else applied
+        when it becomes ready."""
+        if self._held is None or self._held_delay is not None:
+            raise RuntimeError("release() needs an unreleased withheld stage")
+        if delay < 0 or math.isnan(delay):
+            raise ValueError(f"delay must be >= 0, got {delay!r}")
+        if self._held_seq is not None:
+            self.engine.push(self._release_instant(delay), self._held_seq,
+                             (_SUBMIT, self._held))
+        self._held_delay = delay
+
+    def _release_instant(self, delay: float) -> float:
+        """``ready + delay`` of the (ready) withheld stage, checked
+        against how far the withheld trajectory has already advanced."""
+        release = self._runs[self._held].record.ready_time + delay
+        if release < self._held_floor:
+            raise ValueError(
+                f"release instant {release!r} precedes the withheld "
+                f"trajectory's advance to {self._held_floor!r}; probe "
+                "delays in ascending order"
+            )
+        return release
+
+    def fork(self) -> "Simulation":
+        """An independent copy of this (started) simulation's run state.
+
+        The copy continues from the current instant and shares nothing
+        mutable with the original, so both can run on — typically one
+        withheld trajectory forked once per candidate delay.  Immutable
+        inputs (jobs, cluster, topology, config) are shared; of the
+        stage runs only the *live* ones (ready but unfinished) are
+        copied.  Finished runs are never written again, and runs not
+        yet ready stay shared copy-on-write: whichever simulation first
+        mutates one (a parent finishing, a prefetch aimed at it) copies
+        it.  Engine events are data naming stage keys, which each copy
+        resolves against its own runs.  Fork cost is thus proportional
+        to the in-flight state, not to the job size.
+
+        Supported for the scalar engine on healthy runs without metric
+        tracking or scheduled degradations (the planning probes'
+        configuration).
+        """
+        if not self._started:
+            raise RuntimeError("fork() needs a started simulation")
+        if type(self.engine) is not FluidEngine:
+            raise ValueError("fork() requires the scalar engine "
+                             "(SimulationConfig.vector=False)")
+        if self._faults is not None or self._injections or self.metrics is not None:
+            raise ValueError("fork() is unsupported with fault plans, "
+                             "degradations, or metric tracking")
+        new = copy.copy(self)
+        token = new._token = object()
+        self._token = object()
+        runs = new._runs = dict(self._runs)
+        for key in self._live:
+            run = runs[key]
+            runs[key] = run.copy(token)
+            run.owner = self._token
+        new._live = set(self._live)
+        new._scoped = ScopedAllocator(new) if self._scoped is not None else None
+        new.engine = self.engine.fork(
+            new._allocate,
+            new._dispatch,
+            new._scoped.allocate if new._scoped is not None else None,
+        )
+        new.events = list(self.events)
+        new._remaining_stages = dict(self._remaining_stages)
+        new._job_records = {
+            job_id: JobRecord(job_id, rec.submit_time, rec.finish_time)
+            for job_id, rec in self._job_records.items()
+        }
+        new._prefetch_outstanding = dict(self._prefetch_outstanding)
+        new._free_slots = dict(self._free_slots)
+        new._task_queues = {
+            w: {k: list(v) for k, v in queue.items()}
+            for w, queue in self._task_queues.items()
+        }
+        new._running = dict(self._running)
+        new._pending_tasks = dict(self._pending_tasks)
+        return new
+
+    def _own(self, key: "tuple[str, str]") -> _StageRun:
+        """The run for ``key``, copied first if another simulation may
+        still read it (shared since a fork)."""
+        run = self._runs[key]
+        if run.owner is not self._token:
+            run = self._runs[key] = run.copy(self._token)
+        return run
+
     def _start(self) -> None:
         """Register injections and job-start timers (shared preamble of
-        :meth:`run` and :meth:`run_truncated`)."""
+        :meth:`run`, :meth:`run_truncated` and :meth:`advance_withheld`)."""
         if self._started:
-            raise RuntimeError("run() may only be called once per Simulation")
+            raise RuntimeError("the run has already started")
         self._started = True
         if not self._jobs:
             raise RuntimeError("no jobs registered")
-        for when, node_id, nf, df, ef in self._injections:
-            self.engine.schedule(
-                when,
-                lambda n=node_id, a=nf, b=df, c=ef: self._apply_degradation(n, a, b, c),
-            )
+        for i, injection in enumerate(self._injections):
+            self.engine.schedule(injection[0], (_DEGRADE, i))
         if self._faults is not None:
             self._faults.schedule_events()
+        token = self._token
         for job_id, (job, _policy, submit_time) in self._jobs.items():
             self._remaining_stages[job_id] = job.num_stages
             self._job_records[job_id] = JobRecord(job_id, submit_time)
             for sid in job.stage_ids:
-                self._runs[(job_id, sid)] = _StageRun(job, sid, self.workers)
-            self.engine.schedule(submit_time, self._make_job_start(job_id))
+                self._runs[(job_id, sid)] = _StageRun(job, sid, self.workers, token)
+            self.engine.schedule(submit_time, (_JOB_START, job_id))
 
     def run(self) -> SimulationResult:
-        """Execute all registered jobs to completion."""
-        self._start()
+        """Execute all registered jobs to completion (continuing from
+        where a started or forked simulation stands)."""
+        if self._ran:
+            raise RuntimeError("run() may only be called once per Simulation")
+        self._ran = True
+        if not self._started:
+            self._start()
+        if self._held is not None and self._held_delay is None:
+            raise RuntimeError("release() the withheld stage before run()")
         self.engine.run()
         result = SimulationResult(
             cluster=self.cluster,
@@ -557,7 +760,9 @@ class Simulation:
         simulated.  ``horizon`` may be ``inf`` to stop on ``watch``
         alone.  No :class:`SimulationResult` is assembled and no
         result-level sanitizer checks run, since the record set is
-        intentionally incomplete.
+        intentionally incomplete.  A started (e.g. forked) simulation
+        continues from where it stands; watched stages that already
+        finished count as seen.
         """
         if horizon < 0 or math.isnan(horizon):
             raise ValueError(f"horizon must be >= 0, got {horizon!r}")
@@ -565,36 +770,85 @@ class Simulation:
             # A truncated fault run would leave requeues/backoffs dangling
             # and its prefix property does not survive mid-flight retries.
             raise RuntimeError("run_truncated is unsupported with a fault plan")
-        self._watch_remaining = set(watch) if watch is not None else None
-        self._start()
-        self.engine.run(until=None if math.isinf(horizon) else horizon)
-        self._watch_remaining = None
+        if not self._started:
+            self._start()
+        remaining = None
+        if watch:
+            remaining = set(watch) - {
+                sid for (_jid, sid), run in self._runs.items()
+                if not math.isnan(run.record.finish_time)
+            }
+        if remaining is None or remaining:
+            self._watch_remaining = remaining
+            self.engine.run(until=None if math.isinf(horizon) else horizon)
+            self._watch_remaining = None
         return {k: r.record for k, r in self._runs.items()}
 
     # ------------------------------------------------------------------ #
     # lifecycle transitions
     # ------------------------------------------------------------------ #
 
-    def _make_job_start(self, job_id: str) -> Callable[[], None]:
-        def start() -> None:
-            job, _policy, _t = self._jobs[job_id]
+    def _dispatch(self, event: tuple) -> None:
+        """Engine callback: resolve an event tuple against this
+        simulation's own state (kinds ordered by frequency)."""
+        kind = event[0]
+        if kind == _FLOW_DONE:
+            run = self._runs[event[1]]
+            worker = event[2]
+            run.pending_reads[worker] -= 1
+            if run.submitted and run.pending_reads[worker] == 0:
+                self._part_read_done(run, worker)
+        elif kind == _COMPUTE_DONE:
+            self._part_compute_done(self._runs[event[1]], event[2])
+        elif kind == _WRITE_DONE:
+            self._part_write_done(self._runs[event[1]], event[2])
+        elif kind == _TASK_DONE:
+            self._task_done(self._runs[event[1]], event[2])
+        elif kind == _PREFETCH_DONE:
+            _, key, dst, pkey = event
+            self._prefetch_outstanding[pkey] -= 1
+            # The reader may not be ready yet, so it may still be shared.
+            child_run = self._own(key)
+            child_run.pending_reads[dst] -= 1
+            if child_run.submitted and child_run.pending_reads[dst] == 0:
+                self._part_read_done(child_run, dst)
+        elif kind == _SUBMIT:
+            self._submit_stage(self._runs[event[1]])
+        elif kind == _JOB_START:
+            job_id = event[1]
             self._log(EventKind.JOB_SUBMITTED, job_id)
-            for sid in job.roots:
+            for sid in self._jobs[job_id][0].roots:
                 self._stage_ready(self._runs[(job_id, sid)])
-
-        return start
+        elif kind == _DEGRADE:
+            _when, node_id, nf, df, ef = self._injections[event[1]]
+            self._apply_degradation(node_id, nf, df, ef)
+        else:  # pragma: no cover - no other kinds exist
+            raise ValueError(f"unknown engine event {event!r}")
 
     def _stage_ready(self, run: _StageRun) -> None:
         now = self.engine.now
         run.record.ready_time = now
+        self._live.add(run.key)
         self._log(EventKind.STAGE_READY, run.key[0], run.key[1])
-        job, policy, _t = self._jobs[run.key[0]]
-        delay = policy.delay(job, run.key[1], now)
+        if run.key == self._held:
+            delay = self._held_delay
+            if delay is None:
+                # Withheld: keep the submission timer's place in the
+                # same-instant order, and hand control back to
+                # advance_withheld(), which now knows the ready time —
+                # mid-step if a timer readied the stage, so a zero delay
+                # can still join this step's timers.
+                self._held_seq = self.engine.reserve_seq()
+                self.engine.interrupt()
+                return
+        else:
+            job, policy, _t = self._jobs[run.key[0]]
+            delay = policy.delay(job, run.key[1], now)
         if delay < 0 or math.isnan(delay):
             raise ValueError(
                 f"policy returned invalid delay {delay!r} for stage {run.key[1]!r}"
             )
-        self.engine.schedule(now + delay, lambda: self._submit_stage(run))
+        self.engine.schedule(now + delay, (_SUBMIT, run.key))
 
     def _read_sources(self, run: _StageRun) -> list[str]:
         """Nodes holding the stage's input data."""
@@ -646,11 +900,11 @@ class Simulation:
             remote_sources = self._select_sources([s for s in sources if s != w], wi)
             if remote_volume > 0 and remote_sources:
                 per_source = remote_volume / len(remote_sources)
-                # One shared completion closure per worker; every flow's
+                # One shared completion event per worker; every flow's
                 # volume is > 0 here, so none completes inside add_item
                 # and the count can be bumped up front.
                 run.pending_reads[w] += len(remote_sources)
-                flow_done = self._make_flow_done(run, w)
+                flow_done = (_FLOW_DONE, run.key, w)
                 add_item = self.engine.add_item
                 for src in remote_sources:
                     add_item(
@@ -664,14 +918,6 @@ class Simulation:
                     )
             if run.pending_reads[w] == 0:
                 self._part_read_done(run, w)
-
-    def _make_flow_done(self, run: _StageRun, worker: str) -> Callable[[float], None]:
-        def done(_t: float) -> None:
-            run.pending_reads[worker] -= 1
-            if run.submitted and run.pending_reads[worker] == 0:
-                self._part_read_done(run, worker)
-
-        return done
 
     def _compute_volume(self, run: _StageRun) -> float:
         """Per-worker compute volume, with the AggShuffle CPU penalty.
@@ -714,7 +960,7 @@ class Simulation:
                     volume=volume,
                     stage_key=run.key,
                     process_rate=run.stage.process_rate,
-                    on_complete=lambda _t, w=worker: self._part_compute_done(run, w),
+                    on_complete=(_COMPUTE_DONE, run.key, worker),
                 )
             )
 
@@ -755,9 +1001,9 @@ class Simulation:
         self._pending_tasks[key] = len(tasks)
         self._running.setdefault(key, 0)
         self._task_queues[worker].setdefault(run.key, []).extend(reversed(tasks))
-        self._dispatch(run, worker)
+        self._dispatch_tasks(worker)
 
-    def _dispatch(self, run_hint: _StageRun, worker: str) -> None:
+    def _dispatch_tasks(self, worker: str) -> None:
         """Fill free executor slots from the node's task queues.
 
         Among stages with queued tasks, the one with the fewest running
@@ -783,7 +1029,7 @@ class Simulation:
                     volume=volume,
                     stage_key=stage_key,
                     process_rate=run.stage.process_rate,
-                    on_complete=lambda _t, r=run, w=worker: self._task_done(r, w),
+                    on_complete=(_TASK_DONE, stage_key, worker),
                 )
             )
 
@@ -794,7 +1040,7 @@ class Simulation:
         self._pending_tasks[key] -= 1
         if self._pending_tasks[key] == 0:
             self._part_compute_done(run, worker)
-        self._dispatch(run, worker)
+        self._dispatch_tasks(worker)
 
     def _part_compute_done(self, run: _StageRun, worker: str) -> None:
         run.compute_active.discard(worker)
@@ -813,7 +1059,7 @@ class Simulation:
                     node=worker,
                     volume=write_volume,
                     stage_key=run.key,
-                    on_complete=lambda _t, w=worker: self._part_write_done(run, w),
+                    on_complete=(_WRITE_DONE, run.key, worker),
                 )
             )
         else:
@@ -827,6 +1073,7 @@ class Simulation:
     def _stage_completed(self, run: _StageRun) -> None:
         now = self.engine.now
         run.record.finish_time = now
+        self._live.discard(run.key)
         job_id, stage_id = run.key
         self._log(EventKind.STAGE_COMPLETED, job_id, stage_id)
         if self._watch_remaining is not None:
@@ -838,7 +1085,7 @@ class Simulation:
 
         job, _policy, _t = self._jobs[job_id]
         for child in job.children(stage_id):
-            child_run = self._runs[(job_id, child)]
+            child_run = self._own((job_id, child))
             child_run.remaining_parents -= 1
             if child_run.remaining_parents == 0:
                 self._stage_ready(child_run)
@@ -880,6 +1127,8 @@ class Simulation:
             child_run = self._runs[(job_id, child)]
             if child_run.submitted:
                 continue  # the child already fetched/registered its reads
+            # The reader may not be ready yet, so it may still be shared.
+            child_run = self._own(child_run.key)
             parents = job.parents(child)
             total_parent_out = sum(job.stage(p).output_bytes for p in parents)
             if total_parent_out <= 0:
@@ -905,7 +1154,7 @@ class Simulation:
                         dst=dst,
                         volume=volume,
                         stage_key=child_run.key,
-                        on_complete=self._make_prefetch_done(child_run, dst, pkey),
+                        on_complete=(_PREFETCH_DONE, child_run.key, dst, pkey),
                         rate_cap=0.0,  # real cap assigned by the allocator
                         pipelined=True,
                         producer_key=run.key,
@@ -919,17 +1168,6 @@ class Simulation:
                     child,
                     info={"from_stage": stage_id, "worker": worker},
                 )
-
-    def _make_prefetch_done(
-        self, child_run: _StageRun, dst: str, pkey: "tuple[tuple[str, str], str]"
-    ) -> Callable[[float], None]:
-        def done(_t: float) -> None:
-            self._prefetch_outstanding[pkey] -= 1
-            child_run.pending_reads[dst] -= 1
-            if child_run.submitted and child_run.pending_reads[dst] == 0:
-                self._part_read_done(child_run, dst)
-
-        return done
 
     # ------------------------------------------------------------------ #
     # resource allocation (engine callback)

@@ -353,8 +353,7 @@ class VectorFluidEngine(FluidEngine):
         if item.remaining <= 0.0:
             # Zero-volume work completes instantly without entering the
             # active set — identical to the scalar engine.
-            if item.on_complete is not None:
-                item.on_complete(self.now)
+            self._complete(item.on_complete)
             return
         items = self._items
         pos = len(items)
@@ -537,6 +536,10 @@ class VectorFluidEngine(FluidEngine):
     # ------------------------------------------------------------------ #
 
     def run(self, until: "float | None" = None) -> float:
+        """:meth:`FluidEngine.run` on the struct-of-arrays state, without
+        ``pause`` or mid-step resumption: withheld stages and forks
+        require the scalar engine."""
+        self._stop_requested = False
         events = 0
         items = self._items
         timers = self._timers
@@ -545,6 +548,7 @@ class VectorFluidEngine(FluidEngine):
         heappop = heapq.heappop
         progress = self._progress
         progress_every = self._progress_every
+        dispatch = self._dispatch
         enter_n = self.ENTER_VECTOR_N
         exit_n = self.EXIT_VECTOR_N
         churn_exit = self.CHURN_EXIT_RATIO
@@ -642,8 +646,11 @@ class VectorFluidEngine(FluidEngine):
                 if timers and timers[0][0] <= t_due:
                     self._sync_remaining()
                     while timers and timers[0][0] <= t_due:
-                        _, _, callback = heappop(timers)
-                        callback()
+                        event = heappop(timers)[2]
+                        if type(event) is tuple:
+                            dispatch(event)
+                        else:
+                            event()
                     if _sanitizer.ENABLED:
                         _sanitizer.check_rates_valid(items)
                     # Callbacks may have added items (and flipped the
@@ -680,10 +687,14 @@ class VectorFluidEngine(FluidEngine):
                     if self._allocate_incremental is not None:
                         self._removed.extend(completed)
                     self._dirty = True
+                    now = self.now
                     for item in completed:
                         item.remaining = 0.0
-                        if item.on_complete is not None:
-                            item.on_complete(self.now)
+                        event = item.on_complete
+                        if type(event) is tuple:
+                            dispatch(event)
+                        elif event is not None:
+                            event(now)
             self._sync_remaining()
             return self.now
         finally:

@@ -12,11 +12,18 @@ import dataclasses
 import io
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster.spec import uniform_cluster
 from repro.core.delaystage import DelayStageParams, delay_stage_schedule
+from repro.model.interference import (
+    WithheldTrajectory,
+    evaluate_schedule,
+    probe_schedule,
+)
 from repro.simulator.simulation import (
+    FixedDelayPolicy,
     ImmediatePolicy,
     Simulation,
     SimulationConfig,
@@ -181,6 +188,192 @@ def test_replay_batch_serial_path_with_tracer():
     # A tracer forces the serial path; results still match.
     traced = replay_batch(jobs, cluster, sched, processes=4, tracer=Tracer())
     assert traced == replay_batch(jobs, cluster, sched, processes=1)
+
+
+# --------------------------------------------------------------------- #
+# tentpole 4: forked probes == full evaluations
+
+
+def _fork_config(penalty, pipelined, granular, fanin, *, events=False):
+    return SimulationConfig(
+        track_metrics=False, track_events=events, contention_penalty=penalty,
+        pipelined_shuffle=pipelined, task_granular=granular, fanin=fanin,
+    )
+
+
+_PAIR_CAPS = {("w0", "w1"): 20e6, ("w2", "w0"): 35e6}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    num_stages=st.integers(3, 8),
+    parallelism=st.floats(0.3, 0.9),
+    penalty=st.sampled_from([0.0, 0.5]),
+    pipelined=st.booleans(),
+    granular=st.booleans(),
+    fanin=st.sampled_from([None, 1, 2]),
+    caps=st.booleans(),
+    data=st.data(),
+)
+def test_forked_probes_match_full_evaluation(
+    seed, num_stages, parallelism, penalty, pipelined, granular, fanin, caps,
+    data,
+):
+    """Every finish time a forked probe reports is the full run's, and
+    every watched stage it omits finishes after the horizon."""
+    job = random_job(num_stages, parallelism=parallelism, rng=seed)
+    cluster = _cluster()
+    cfg = _fork_config(penalty, pipelined, granular, fanin)
+    pair_caps = _PAIR_CAPS if caps else None
+    sids = list(job.stage_ids)
+    held = data.draw(st.sampled_from(sids))
+    others = {
+        sid: data.draw(st.sampled_from([0.0, 1.5, 7.0]))
+        for sid in sids if sid != held
+    }
+    prefix = WithheldTrajectory(job, cluster, others, held, config=cfg,
+                                pair_capacities=pair_caps)
+    candidates = sorted(data.draw(
+        st.lists(st.floats(0.0, 60.0), min_size=1, max_size=5)
+    ))
+    for x in candidates:
+        trial = {**others, held: x}
+        full = evaluate_schedule(job, cluster, trial, config=cfg,
+                                 pair_capacities=pair_caps).stage_finish
+        horizon = data.draw(st.sampled_from(
+            [math.inf, max(full.values()), 0.5 * max(full.values())]
+        ))
+        watch = data.draw(st.sets(st.sampled_from(sids)) | st.none())
+        finish = probe_schedule(job, cluster, trial, horizon=horizon,
+                                watch=watch, config=cfg,
+                                pair_capacities=pair_caps, prefix=prefix)
+        for sid, t in finish.items():
+            assert t == full[sid], (sid, x)
+        for sid in watch or sids:
+            if sid not in finish:
+                assert full[sid] > horizon, (sid, x)
+        if math.isinf(horizon) and not watch:
+            assert finish == full
+
+
+def _eventlog(result) -> str:
+    from repro.simulator.eventlog import write_eventlog
+
+    buf = io.StringIO()
+    write_eventlog(result.events, buf)
+    return buf.getvalue()
+
+
+def _unforked(job, delays, cfg):
+    sim = Simulation(_cluster(), cfg)
+    sim.add_job(job, FixedDelayPolicy(delays))
+    return sim.run()
+
+
+def _forked(job, others, held, x, cfg):
+    sim = Simulation(_cluster(), dataclasses.replace(cfg, vector=False))
+    sim.add_job(job, FixedDelayPolicy(others))
+    sim.withhold(job.job_id, held)
+    sim.advance_withheld(x)
+    fork = sim.fork()
+    fork.release(x)
+    return fork.run()
+
+
+def _assert_same_run(a, b) -> None:
+    _assert_results_identical(a, b)
+    assert _eventlog(a) == _eventlog(b)
+
+
+def _two_root_job():
+    from repro.dag import JobBuilder
+
+    return (
+        JobBuilder("tie")
+        .stage("a", input_mb=300, output_mb=100, process_rate_mb=40)
+        .stage("b", input_mb=500, output_mb=200, process_rate_mb=40)
+        .stage("c", input_mb=200, output_mb=50, process_rate_mb=40)
+        .stage("d", input_mb=100, output_mb=10, process_rate_mb=40)
+        .edge("a", "c").edge("b", "d").edge("c", "d")
+        .build()
+    )
+
+
+def test_fork_release_at_another_stages_completion():
+    """The release instant is exactly another stage's completion."""
+    job = _two_root_job()
+    cfg = _fork_config(0.5, False, False, None, events=True)
+    # "b" (a root, ready at 0) is held; releasing it at a's finish time
+    # coincides with a's last write completing in the same step.
+    a_done = _unforked(job, {"b": 1e4}, cfg).stage("tie", "a").finish_time
+    forked = _forked(job, {}, "b", a_done, cfg)
+    unforked = _unforked(job, {"b": a_done}, cfg)
+    assert unforked.stage("tie", "b").submit_time == a_done
+    _assert_same_run(forked, unforked)
+
+
+def test_fork_release_at_another_timer():
+    """The release instant equals another stage's submission timer: the
+    reserved sequence number keeps their order, whichever is first."""
+    job = _two_root_job()
+    cfg = _fork_config(0.0, False, False, None, events=True)
+    for held, other in (("a", "b"), ("b", "a")):
+        forked = _forked(job, {other: 3.0}, held, 3.0, cfg)
+        unforked = _unforked(job, {other: 3.0, held: 3.0}, cfg)
+        _assert_same_run(forked, unforked)
+        submitted = [e.stage_id for e in unforked.events
+                     if e.kind.value == "stage_submitted"][:2]
+        assert sorted(submitted) == ["a", "b"]
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    num_stages=st.integers(3, 8),
+    granular=st.booleans(),
+    pipelined=st.booleans(),
+    data=st.data(),
+)
+def test_forks_never_disturb_their_base(seed, num_stages, granular, pipelined, data):
+    """A base forked N times (each fork run to completion) still runs
+    to the byte-identical event log of a never-forked run."""
+    job = random_job(num_stages, parallelism=0.7, rng=seed)
+    cfg = _fork_config(0.5, pipelined, granular, None, events=True)
+    held = data.draw(st.sampled_from(list(job.stage_ids)))
+    xs = sorted(data.draw(st.lists(st.floats(0.0, 40.0), min_size=1, max_size=4)))
+    base = Simulation(_cluster(), dataclasses.replace(cfg, vector=False))
+    base.add_job(job, FixedDelayPolicy({}))
+    base.withhold(job.job_id, held)
+    for x in xs:
+        base.advance_withheld(x)
+        fork = base.fork()
+        fork.release(x)
+        _assert_same_run(fork.run(), _unforked(job, {held: x}, cfg))
+    base.release(xs[-1])
+    _assert_same_run(base.run(), _unforked(job, {held: xs[-1]}, cfg))
+
+
+def test_withheld_probes_must_ascend():
+    job = _two_root_job()
+    prefix = WithheldTrajectory(job, _cluster(), {}, "b")
+    prefix.probe(5.0)
+    with pytest.raises(ValueError, match="ascending"):
+        prefix.probe(1.0)
+
+
+def test_fork_requires_scalar_engine_and_healthy_run():
+    job = _two_root_job()
+    sim = Simulation(_cluster(), SimulationConfig(track_metrics=False))
+    sim.add_job(job)
+    with pytest.raises(ValueError, match="scalar"):
+        sim.withhold("tie", "a")
+    tracked = Simulation(_cluster(), SimulationConfig(vector=False))
+    tracked.add_job(job)
+    tracked.withhold("tie", "a")
+    tracked.advance_withheld(0.0)
+    with pytest.raises(ValueError, match="metric"):
+        tracked.fork()
 
 
 # --------------------------------------------------------------------- #
