@@ -1,8 +1,8 @@
 """Benchmark harness behind ``repro bench``.
 
 Each benchmark times an optimized path against its escape-hatch
-baseline (``--no-incremental`` / ``--no-memo`` / ``--no-vector``
-equivalents) and checks that both produce **identical results** — the
+baseline (``--no-incremental`` / ``--no-vector`` equivalents, plus
+Algorithm 1 without its bound prune) and checks that both produce **identical results** — the
 speedups this repo claims are only meaningful because the optimizations
 are bit-exact.
 
@@ -99,7 +99,7 @@ def _interleaved(
 # --------------------------------------------------------------------- #
 # replay: the Fig. 14 twin-trace comparison (Fuxi + DelayStage, whose
 # per-job Algorithm 1 planning dominates), all optimizations vs the
-# --no-incremental --no-memo escape-hatch pipeline
+# --no-incremental escape-hatch pipeline without the bound prune
 
 
 def _replay_inputs(num_jobs: int, seed: int):
@@ -172,8 +172,7 @@ def bench_replay(quick: bool = False, vector: bool = True) -> BenchResult:
                              incremental=optimized, vector=vec)
         ds = DelayStageScheduler(
             profiled=False, track_metrics=False, contention_penalty=penalty,
-            params=DelayStageParams(max_slots=12, memoize=optimized,
-                                    bound_prune=optimized),
+            params=DelayStageParams(max_slots=12, bound_prune=optimized),
             incremental=optimized, vector=vec,
         )
 
@@ -262,7 +261,7 @@ def bench_realloc(quick: bool = False, vector: bool = True) -> BenchResult:
 
 
 # --------------------------------------------------------------------- #
-# alg1: memoized + bound-pruned Algorithm 1 scan on the ALS workload
+# alg1: bound-pruned Algorithm 1 scan on the ALS workload
 
 #: Controlled measurement against the commit *before* this perf layer
 #: landed (no scoped allocator, no memo/prune/probes, none of the
@@ -286,7 +285,7 @@ _ALG1_PRE_PR_REFERENCE = {
 
 
 def bench_alg1(quick: bool = False, vector: bool = True) -> BenchResult:
-    """Full ALS planning scan: memo + bound pruning vs plain Alg. 1."""
+    """Full ALS planning scan: bound pruning vs plain Alg. 1."""
     from repro.cluster.spec import uniform_cluster
     from repro.core.delaystage import DelayStageParams, delay_stage_schedule
     from repro.simulator.simulation import SimulationConfig
@@ -302,11 +301,11 @@ def bench_alg1(quick: bool = False, vector: bool = True) -> BenchResult:
 
     def _run(optimized: bool):
         # The baseline engages every escape hatch, like the CLI's
-        # --no-incremental --no-memo --no-vector bisection path: plain
-        # Algorithm 1 whose candidate evaluations re-solve fair sharing
-        # globally on the scalar object engine.
+        # --no-incremental --no-vector bisection path, and plans without
+        # the bound prune: plain Algorithm 1 whose candidate evaluations
+        # re-solve fair sharing globally on the scalar object engine.
         params = DelayStageParams(
-            memoize=optimized, bound_prune=optimized,
+            bound_prune=optimized,
             sim_config=SimulationConfig(
                 track_metrics=False, vector=vector)
             if optimized else SimulationConfig(

@@ -742,14 +742,13 @@ def cmd_replay(args: argparse.Namespace) -> int:
               "fault-annotated trace)")
         return 2
     incremental = not getattr(args, "no_incremental", False)
-    memo = not getattr(args, "no_memo", False)
     vector = not getattr(args, "no_vector", False)
     fuxi = FuxiScheduler(track_metrics=False, contention_penalty=args.penalty,
                          incremental=incremental, fault_plan=plan,
                          vector=vector)
     ds = DelayStageScheduler(
         profiled=False, track_metrics=False, contention_penalty=args.penalty,
-        params=DelayStageParams(max_slots=12, memoize=memo, bound_prune=memo),
+        params=DelayStageParams(max_slots=12),
         incremental=incremental, fault_plan=plan,
         replan=plan is not None, vector=vector,
     )
@@ -1356,10 +1355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-incremental", action="store_true",
                    help="bisection switch: full fair-share re-solve on "
                         "every event (results identical, slower)")
-    p.add_argument("--no-memo", action="store_true",
-                   help="bisection switch: disable Algorithm 1 "
-                        "memoization and bound pruning (results "
-                        "identical, slower)")
     p.add_argument("--no-vector", action="store_true",
                    help="bisection switch: scalar object engine instead "
                         "of the vectorized event core (results "

@@ -45,7 +45,6 @@ from repro.dag.graph import parallel_stage_set
 from repro.dag.job import Job
 from repro.dag.paths import execution_paths
 from repro.model.interference import (
-    EvaluationCache,
     WithheldTrajectory,
     evaluate_schedule,
     probe_schedule,
@@ -101,12 +100,6 @@ class DelayStageParams:
     #: the complete schedule visible, keeping strict improvements;
     #: roughly doubles planning cost per pass.
     refine_passes: int = 0
-    #: Memoize candidate-schedule fluid evaluations within this planning
-    #: run, keyed on (phantom set, delay table) — see
-    #: :class:`repro.model.interference.EvaluationCache`.  Exact (a hit
-    #: returns the identical evaluation); disable (``--no-memo``) only
-    #: for bisection.
-    memoize: bool = True
     #: Prune scan candidates whose admissible finish-time lower bound
     #: (``ready_lb + x + t_hat``, :func:`repro.core.bounds.ready_lower_bounds`)
     #: already reaches the incumbent makespan.  Never changes the chosen
@@ -122,26 +115,6 @@ class DelayStageParams:
             raise ValueError("max_slots must be >= 2")
         if self.refine_passes < 0:
             raise ValueError("refine_passes must be >= 0")
-
-
-def _phantom_job(job: Job, hidden: "set[str]") -> Job:
-    """Copy of ``job`` where ``hidden`` stages consume no resources.
-
-    Phantom stages complete (nearly) instantly, so DAG dependencies of
-    scheduled stages still resolve while unscheduled parallel stages
-    exert no interference on the model.
-    """
-    if not hidden:
-        return job
-    stages = []
-    for stage in job:
-        if stage.stage_id in hidden:
-            stages.append(
-                _dc_replace(stage, input_bytes=0.0, output_bytes=0.0, process_rate=1.0)
-            )
-        else:
-            stages.append(stage)
-    return Job(job.job_id, stages, job.edges)
 
 
 def delay_stage_schedule(
@@ -163,7 +136,9 @@ def delay_stage_schedule(
     When a :class:`~repro.obs.tracer.Tracer` is supplied, every stage
     scan emits a decision-audit span on the scheduler track — the scan
     bounds ``[l_k, u_k]``, each candidate delay evaluated with its
-    predicted makespan, pruned candidate count, and the chosen delay —
+    predicted makespan, pruned candidate count, the chosen delay, and
+    where the scan's shared prefix started (``prefix``: ``fresh``,
+    ``withheld`` or ``probe``; see :class:`WithheldTrajectory`) —
     plus a final ``schedule`` record carrying the exact delay table
     returned, so the algorithm's reasoning can be replayed offline.
     """
@@ -220,28 +195,18 @@ def delay_stage_schedule(
     paths = order_paths(paths, params.order, params.rng)
 
     evaluations = 0
-    cache = EvaluationCache() if params.memoize else None
 
-    def _evaluate(model: Job, hidden: "frozenset[str]", trial: dict) -> object:
-        """Fluid evaluation memoized on (phantom set, delay table)."""
+    def _evaluate(trial: dict, hidden: "frozenset[str]" = frozenset()) -> object:
+        """Full fluid evaluation of the model with ``hidden`` phantoms."""
         nonlocal evaluations
-        if cache is not None:
-            key = EvaluationCache.key(hidden, trial)
-            hit = cache.get(key)
-            if hit is not None:
-                return hit
-        ev = evaluate_schedule(
-            model, cluster, trial, members=members, config=eval_config,
-            pair_capacities=pair_capacities,
-        )
         evaluations += 1
-        if cache is not None:
-            cache.put(key, ev)
-        return ev
+        return evaluate_schedule(
+            job, cluster, trial, members=members, config=eval_config,
+            pair_capacities=pair_capacities, phantoms=hidden,
+        )
 
     def _probe(
         prefix: WithheldTrajectory,
-        hidden: "frozenset[str]",
         trial: dict,
         horizon: float,
         watch: "set[str]",
@@ -250,13 +215,9 @@ def delay_stage_schedule(
         until all of ``watch`` finished; missing watched stages finish
         later.  Simulated as a fork of the scan's shared prefix."""
         nonlocal evaluations
-        if cache is not None:
-            hit = cache.get(EvaluationCache.key(hidden, trial))
-            if hit is not None:
-                return hit.stage_finish
         evaluations += 1
         return probe_schedule(
-            prefix.job, cluster, trial, horizon=horizon, watch=watch,
+            job, cluster, trial, horizon=horizon, watch=watch,
             config=eval_config, pair_capacities=pair_capacities,
             prefix=prefix,
         )
@@ -272,7 +233,7 @@ def delay_stage_schedule(
     )
     pruned_by_bound_total = 0
 
-    baseline = _evaluate(job, frozenset(), {})
+    baseline = _evaluate({})
 
     # Line 3: T_max from standalone path times; it also upper-bounds the
     # candidate scans before any simulation-backed value exists.
@@ -280,141 +241,153 @@ def delay_stage_schedule(
 
     delays: dict[str, float] = {}  # X; absence == unscheduled (the paper's -1)
 
-    # Lines 5-21: per path, per stage, scan candidate delays.
-    for path in paths:
-        for stage_id in path:
-            if stage_id in delays:
-                continue  # lines 7-9: already scheduled via an earlier path
+    # Lines 5-21: per path, per stage, scan candidate delays; a stage on
+    # several paths is scanned once, on the first (lines 7-9).
+    order = list(dict.fromkeys(sid for path in paths for sid in path))
+    # The incumbent's snapshot of the previous scan, where the next scan
+    # starts (see WithheldTrajectory); None builds it from t = 0.
+    handoff = None
+    for i, stage_id in enumerate(order):
+        # The model for this scan: scheduled stages + this candidate
+        # are real; parallel stages of unprocessed paths are phantoms.
+        visible = set(delays) | {stage_id}
+        hidden = frozenset(members) - visible
 
-            # The model for this scan: scheduled stages + this candidate
-            # are real; parallel stages of unprocessed paths are phantoms.
-            visible = set(delays) | {stage_id}
-            hidden = frozenset(members) - visible
-            model = _phantom_job(job, set(hidden))
+        # Admissible earliest-ready bound for the prune below; 0 when
+        # the bound is not trusted, degenerating to the plain prune.
+        if use_bound:
+            ready_lb = ready_lower_bounds(
+                job, t_hat, members=members, visible=visible, delays=delays
+            )[stage_id]
+        else:
+            ready_lb = 0.0
 
-            # Admissible earliest-ready bound for the prune below; 0 when
-            # the bound is not trusted, degenerating to the plain prune.
-            if use_bound:
-                ready_lb = ready_lower_bounds(
-                    job, t_hat, members=members, visible=visible, delays=delays
-                )[stage_id]
-            else:
-                ready_lb = 0.0
+        # Line 10: bounds of the scan.  With ready-relative delays
+        # the lower bound is 0; delaying past the incumbent T_max
+        # could only extend the makespan.
+        lower, upper = 0.0, max(t_max, params.slot)
+        slot = max(params.slot, (upper - lower) / params.max_slots)
+        candidates = [lower]
+        x = lower + slot
+        while x < upper + 1e-9:
+            candidates.append(min(x, upper))
+            x += slot
 
-            # Line 10: bounds of the scan.  With ready-relative delays
-            # the lower bound is 0; delaying past the incumbent T_max
-            # could only extend the makespan.
-            lower, upper = 0.0, max(t_max, params.slot)
-            slot = max(params.slot, (upper - lower) / params.max_slots)
-            candidates = [lower]
-            x = lower + slot
-            while x < upper + 1e-9:
-                candidates.append(min(x, upper))
-                x += slot
+        # One withheld trajectory per scan: every candidate shares
+        # it up to its release instant (built on the first probe),
+        # and it starts where the previous scan's incumbent stood when
+        # this stage became ready.
+        prefix: "WithheldTrajectory | None" = None
+        then = order[i + 1] if i + 1 < len(order) else None
+        best_snapshot = None
 
-            # One withheld trajectory per scan: every candidate shares
-            # it up to its release instant (built on the first probe).
-            prefix: "WithheldTrajectory | None" = None
-
-            scan_t0 = _time.perf_counter() - started
-            scanned: "list[list[float]]" = []
-            rejected: "list[float]" = []
-            best_x = 0.0
-            best_obj = None
-            pruned_by_bound = 0
-            horizon_rejected = 0
-            for idx, x_hat in enumerate(candidates):  # line 11
-                # Prune: the stage becomes ready no earlier than
-                # ``ready_lb`` and finishes no earlier than its delay
-                # plus its standalone time (interference only slows it
-                # down), so once that admissible lower bound reaches the
-                # incumbent the remaining (larger) candidates cannot win.
-                if (
-                    best_obj is not None
-                    and ready_lb + x_hat + t_hat[stage_id] >= best_obj
-                ):
-                    # Of the remaining candidates, count those only the
-                    # ready-time bound (not the plain delay + standalone
-                    # check) rules out, so the audit stays truthful about
-                    # what the new prune is responsible for.
-                    pruned_by_bound = sum(
-                        1
-                        for x in candidates[idx:]
-                        if x + t_hat[stage_id] < best_obj
-                    )
-                    break
-                trial = dict(delays)
-                trial[stage_id] = x_hat
-                # Lines 12-15: re-evaluate stage/path times under the
-                # candidate schedule (shares, interference, completion
-                # updates all happen inside the fluid evaluation).  With
-                # an incumbent, the evaluation is truncated at the
-                # incumbent makespan: the trajectory up to the horizon is
-                # exact, so a candidate whose watched stages have not all
-                # finished by then provably cannot win and the model tail
-                # is never simulated.
-                if params.bound_prune:
-                    horizon = best_obj if best_obj is not None else _math.inf
-                    if prefix is None:
-                        prefix = WithheldTrajectory(
-                            model, cluster, delays, stage_id,
-                            config=eval_config, pair_capacities=pair_capacities,
-                        )
-                    finish = _probe(prefix, hidden, trial, horizon, visible)
-                    obj = max(finish.get(sid, _math.inf) for sid in visible)
-                    if _math.isinf(obj):
-                        horizon_rejected += 1
-                        if tracer.enabled:
-                            rejected.append(x_hat)
-                        continue
-                else:
-                    ev = _evaluate(model, hidden, trial)
-                    obj = max(ev.stage_finish[sid] for sid in visible)
-                if tracer.enabled:
-                    scanned.append([x_hat, obj])
-                # Lines 16-18, with deterministic smallest-delay tiebreak.
-                if best_obj is None or obj < best_obj - 1e-9:
-                    best_obj = obj
-                    best_x = x_hat
-            pruned_by_bound_total += pruned_by_bound
-
-            delays[stage_id] = best_x
-            if best_obj is not None:
-                # Line 17: the incumbent makespan bounds later scans; it
-                # may grow as more paths' stages enter the model.
-                t_max = max(best_obj, t_max)
-
-            if tracer.enabled:
-                scan_t1 = _time.perf_counter() - started
-                tracer.counters.inc("alg1.scans")
-                tracer.counters.inc("alg1.scan_evaluations", len(scanned))
-                if pruned_by_bound:
-                    tracer.counters.inc("alg1.pruned_by_bound", pruned_by_bound)
-                if horizon_rejected:
-                    tracer.counters.inc("alg1.horizon_rejected", horizon_rejected)
-                tracer.add_span(
-                    f"scan:{stage_id}",
-                    scan_t0,
-                    max(scan_t1 - scan_t0, 0.0),
-                    track=DECISIONS_TRACK,
-                    cat="decision",
-                    args={"audit": {
-                        "job_id": job.job_id,
-                        "stage_id": stage_id,
-                        "bounds": [lower, upper],
-                        "slot": slot,
-                        "candidates": [x for x, _ in scanned],
-                        "predicted_makespans": [m for _, m in scanned],
-                        "pruned": len(candidates) - len(scanned) - len(rejected),
-                        "pruned_by_bound": pruned_by_bound,
-                        "rejected_candidates": rejected,
-                        "ready_lower_bound": ready_lb,
-                        "chosen_delay": best_x,
-                        "best_makespan": best_obj,
-                    }},
+        scan_t0 = _time.perf_counter() - started
+        scanned: "list[list[float]]" = []
+        rejected: "list[float]" = []
+        best_x = 0.0
+        best_obj = None
+        pruned_by_bound = 0
+        horizon_rejected = 0
+        for idx, x_hat in enumerate(candidates):  # line 11
+            # Prune: the stage becomes ready no earlier than
+            # ``ready_lb`` and finishes no earlier than its delay
+            # plus its standalone time (interference only slows it
+            # down), so once that admissible lower bound reaches the
+            # incumbent the remaining (larger) candidates cannot win.
+            if (
+                best_obj is not None
+                and ready_lb + x_hat + t_hat[stage_id] >= best_obj
+            ):
+                # Of the remaining candidates, count those only the
+                # ready-time bound (not the plain delay + standalone
+                # check) rules out, so the audit stays truthful about
+                # what the new prune is responsible for.
+                pruned_by_bound = sum(
+                    1
+                    for x in candidates[idx:]
+                    if x + t_hat[stage_id] < best_obj
                 )
+                break
+            trial = dict(delays)
+            trial[stage_id] = x_hat
+            # Lines 12-15: re-evaluate stage/path times under the
+            # candidate schedule (shares, interference, completion
+            # updates all happen inside the fluid evaluation).  With
+            # an incumbent, the evaluation is truncated at the
+            # incumbent makespan: the trajectory up to the horizon is
+            # exact, so a candidate whose watched stages have not all
+            # finished by then provably cannot win and the model tail
+            # is never simulated.
+            if params.bound_prune:
+                horizon = best_obj if best_obj is not None else _math.inf
+                if prefix is None:
+                    prefix = WithheldTrajectory(
+                        job, cluster, delays, stage_id, phantoms=hidden,
+                        then=then, start=handoff, config=eval_config,
+                        pair_capacities=pair_capacities,
+                    )
+                finish = _probe(prefix, trial, horizon, visible)
+                obj = max(finish.get(sid, _math.inf) for sid in visible)
+                if _math.isinf(obj):
+                    horizon_rejected += 1
+                    if tracer.enabled:
+                        rejected.append(x_hat)
+                    continue
+            else:
+                ev = _evaluate(trial, hidden)
+                obj = max(ev.stage_finish[sid] for sid in visible)
+            if tracer.enabled:
+                scanned.append([x_hat, obj])
+            # Lines 16-18, with deterministic smallest-delay tiebreak.
+            if best_obj is None or obj < best_obj - 1e-9:
+                best_obj = obj
+                best_x = x_hat
+                if prefix is not None:
+                    best_snapshot = prefix.snapshot
+        pruned_by_bound_total += pruned_by_bound
+        handoff = best_snapshot
+        source = prefix.source if prefix is not None else None
 
-    final = _evaluate(job, frozenset(), delays)
+        delays[stage_id] = best_x
+        if best_obj is not None:
+            # Line 17: the incumbent makespan bounds later scans; it
+            # may grow as more paths' stages enter the model.
+            t_max = max(best_obj, t_max)
+
+        if tracer.enabled:
+            scan_t1 = _time.perf_counter() - started
+            tracer.counters.inc("alg1.scans")
+            if source in ("withheld", "probe"):
+                tracer.counters.inc("alg1.prefix_reused")
+            tracer.counters.inc("alg1.scan_evaluations", len(scanned))
+            if pruned_by_bound:
+                tracer.counters.inc("alg1.pruned_by_bound", pruned_by_bound)
+            if horizon_rejected:
+                tracer.counters.inc("alg1.horizon_rejected", horizon_rejected)
+            tracer.add_span(
+                f"scan:{stage_id}",
+                scan_t0,
+                max(scan_t1 - scan_t0, 0.0),
+                track=DECISIONS_TRACK,
+                cat="decision",
+                args={"audit": {
+                    "job_id": job.job_id,
+                    "stage_id": stage_id,
+                    "bounds": [lower, upper],
+                    "slot": slot,
+                    "candidates": [x for x, _ in scanned],
+                    "predicted_makespans": [m for _, m in scanned],
+                    "pruned": len(candidates) - len(scanned) - len(rejected),
+                    "pruned_by_bound": pruned_by_bound,
+                    "rejected_candidates": rejected,
+                    "ready_lower_bound": ready_lb,
+                    "chosen_delay": best_x,
+                    "best_makespan": best_obj,
+                    "prefix": source,
+                }},
+            )
+
+    final = _evaluate(delays)
 
     # Optional coordinate-descent refinement (beyond the paper's
     # pseudocode): re-scan each stage's delay against the *complete*
@@ -439,7 +412,7 @@ def delay_stage_schedule(
                         if refine_lb + x + t_hat[stage_id] < best_obj:
                             trial = dict(delays)
                             trial[stage_id] = x
-                            ev = _evaluate(job, frozenset(), trial)
+                            ev = _evaluate(trial)
                             if ev.parallel_makespan < best_obj - 1e-9:
                                 best_obj = ev.parallel_makespan
                                 best_x = x
@@ -484,8 +457,6 @@ def delay_stage_schedule(
     tracer.counters.inc(
         "alg1.stages_delayed", sum(1 for x in delays.values() if x > 0)
     )
-    if tracer.enabled and cache is not None and cache.hits:
-        tracer.counters.inc("alg1.cache_hits", cache.hits)
     tracer.instant(
         "schedule",
         _time.perf_counter() - started,
@@ -496,7 +467,6 @@ def delay_stage_schedule(
               "predicted_makespan": final.parallel_makespan,
               "baseline_makespan": baseline.parallel_makespan,
               "evaluations": evaluations,
-              "cache_hits": cache.hits if cache is not None else 0,
               "pruned_by_bound": pruned_by_bound_total,
               "order": PathOrder(params.order).value},
     )

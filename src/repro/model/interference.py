@@ -48,51 +48,6 @@ class ScheduleEvaluation:
         return self.stage_times[stage_id]
 
 
-class EvaluationCache:
-    """Memo for candidate-schedule fluid evaluations.
-
-    Algorithm 1 re-evaluates the same (phantom set, delay table) pair
-    more than once — most prominently the final full-schedule
-    evaluation, which the last stage's scan already computed as its
-    winning candidate, and every trial of the refinement passes that
-    re-visits the incumbent's neighborhood.  The evaluation is a pure
-    function of the phantom set and the delay table (job, cluster, and
-    config are fixed for one planning run), so a dict keyed on
-    :meth:`key` is exact — a hit returns the *identical*
-    :class:`ScheduleEvaluation` object, not an approximation.
-
-    One cache per planning run; do not share across jobs or configs.
-    """
-
-    __slots__ = ("_store", "hits", "misses")
-
-    def __init__(self) -> None:
-        self._store: dict = {}
-        self.hits = 0
-        self.misses = 0
-
-    @staticmethod
-    def key(
-        hidden: "Iterable[str]", delays: "Mapping[str, float]"
-    ) -> tuple:
-        """Cache key: the phantom (hidden) stage set plus the delay
-        table in canonical (sorted) order — the schedule-prefix hash."""
-        return (frozenset(hidden), tuple(sorted(delays.items())))
-
-    def get(self, key: tuple) -> "ScheduleEvaluation | None":
-        ev = self._store.get(key)
-        if ev is not None:
-            self.hits += 1
-        return ev
-
-    def put(self, key: tuple, ev: ScheduleEvaluation) -> None:
-        self.misses += 1
-        self._store[key] = ev
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-
 def evaluate_schedule(
     job: Job,
     cluster: ClusterSpec,
@@ -101,6 +56,7 @@ def evaluate_schedule(
     members: "frozenset[str] | None" = None,
     config: "SimulationConfig | None" = None,
     pair_capacities: "dict[tuple[str, str], float] | None" = None,
+    phantoms: "Iterable[str]" = (),
 ) -> ScheduleEvaluation:
     """Predict stage timings for the given per-stage submission delays.
 
@@ -123,11 +79,14 @@ def evaluate_schedule(
     pair_capacities:
         Optional per-pair link caps (the geo/WAN extension), applied to
         the model's topology exactly as the executor applies them.
+    phantoms:
+        Stages modelled as zero-volume phantoms (Algorithm 1's
+        unscheduled parallel stages; see :func:`phantom_stage`).
     """
     delays = dict(delays or {})
     cfg = config or SimulationConfig(track_metrics=False, track_events=False)
     sim = Simulation(cluster, cfg, pair_capacities=pair_capacities)
-    sim.add_job(job, FixedDelayPolicy(delays))
+    sim.add_job(job, FixedDelayPolicy(delays), phantoms=phantoms)
     result: SimulationResult = sim.run()
 
     stage_times = {}
@@ -161,13 +120,27 @@ class WithheldTrajectory:
     delay order — the shared run cannot move backwards.
 
     ``delays`` is the table of every *other* stage; ``k``'s own entry,
-    if present, is ignored.  Probes always run the scalar engine, the
-    only one that forks (probe models are small, below the vector
-    engine's threshold anyway), without metric tracking, which forks
-    do not copy and probes never read.
+    if present, is ignored.  ``phantoms`` are the model's zero-volume
+    stages.  Probes always run the scalar engine, the only one that
+    forks (probe models are small, below the vector engine's threshold
+    anyway), without metric tracking, which forks do not copy and
+    probes never read.
+
+    **Cross-scan reuse.**  With ``then`` naming the next scanned stage
+    (a phantom here), each probe snapshots its run at the instant that
+    stage becomes ready (:meth:`Simulation.snapshot_on_ready`); the
+    probe's :attr:`snapshot` holds it — taken by the shared prefix if
+    it got there before the fork, else by the probe's own fork.  Scan
+    ``k + 1`` passes its incumbent's snapshot as ``start``: the prefix
+    then continues that run, releasing ``k`` at its chosen delay (from
+    ``delays``) if the snapshot still holds it, instead of simulating
+    again from t = 0.  Without ``start`` (a job's first scan, or no
+    snapshot) the prefix is built from t = 0.  :attr:`source` records
+    which: ``"fresh"``, ``"withheld"`` (a snapshot of the previous
+    scan's shared prefix) or ``"probe"`` (of its incumbent's fork).
     """
 
-    __slots__ = ("job", "stage_id", "delays", "_sim")
+    __slots__ = ("job", "stage_id", "delays", "source", "snapshot", "_sim")
 
     def __init__(
         self,
@@ -176,18 +149,41 @@ class WithheldTrajectory:
         delays: "Mapping[str, float]",
         stage_id: str,
         *,
+        phantoms: "Iterable[str]" = (),
+        then: "str | None" = None,
+        start: "Simulation | None" = None,
         config: "SimulationConfig | None" = None,
         pair_capacities: "dict[tuple[str, str], float] | None" = None,
     ) -> None:
-        cfg = config or SimulationConfig(track_metrics=False, track_events=False)
-        if cfg.vector or cfg.track_metrics:
-            cfg = replace(cfg, vector=False, track_metrics=False)
         self.job = job
         self.stage_id = stage_id
         self.delays = {sid: d for sid, d in delays.items() if sid != stage_id}
-        self._sim = Simulation(cluster, cfg, pair_capacities=pair_capacities)
-        self._sim.add_job(job, FixedDelayPolicy(self.delays))
-        self._sim.withhold(job.job_id, stage_id)
+        #: Snapshot of the last probe's run (see the class docs).
+        self.snapshot: "Simulation | None" = None
+        if start is None:
+            cfg = config or SimulationConfig(track_metrics=False, track_events=False)
+            if cfg.vector or cfg.track_metrics:
+                cfg = replace(cfg, vector=False, track_metrics=False)
+            sim = Simulation(cluster, cfg, pair_capacities=pair_capacities)
+            sim.add_job(job, FixedDelayPolicy(self.delays), phantoms=phantoms)
+            sim.withhold(job.job_id, stage_id)
+            self.source = "fresh"
+        else:
+            sim = start
+            if stage_id not in sim.withheld:
+                raise ValueError(f"the snapshot does not withhold {stage_id!r}")
+            held = [sid for sid in sim.withheld if sid != stage_id]
+            for sid in held:
+                sim.release(self.delays[sid], sid)
+            self.source = "withheld" if held else "probe"
+        if then is not None:
+            sim.snapshot_on_ready(job.job_id, then)
+        self._sim = sim
+
+    @property
+    def ready_time(self) -> float:
+        """When the withheld stage became ready (NaN until known)."""
+        return self._sim.stage_record(self.job.job_id, self.stage_id).ready_time
 
     def probe(
         self, delay: float, horizon: float = math.inf,
@@ -199,7 +195,9 @@ class WithheldTrajectory:
         self._sim.advance_withheld(delay, horizon)
         fork = self._sim.fork()
         fork.release(delay)
-        return fork.run_truncated(horizon, watch=set(watch) if watch else None)
+        records = fork.run_truncated(horizon, watch=set(watch) if watch else None)
+        self.snapshot = fork.snapshot
+        return records
 
 
 def probe_schedule(

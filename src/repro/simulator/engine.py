@@ -222,7 +222,9 @@ class FluidEngine:
         still delivered first, so the executed trajectory remains an
         exact prefix of the untruncated run.  The request applies to
         the run in progress only: the next :meth:`run` resumes the
-        trajectory where it stopped.
+        trajectory where it stopped — unless an :meth:`interrupt` ended
+        that run too: then the next :meth:`run` finishes the
+        interrupted step and stops.
         """
         self._stop_requested = True
 
@@ -236,9 +238,9 @@ class FluidEngine:
         uninterrupted run would.  Called from a completion callback it
         acts like :meth:`request_stop`.  A withheld stage becoming
         ready interrupts so its release can still join the current
-        step's timers.
+        step's timers.  A stop requested in the same step is kept for
+        the run that resumes it (see :meth:`request_stop`).
         """
-        self._stop_requested = True
         self._interrupted = True
 
     def cancel_item(self, item: WorkItem) -> bool:
@@ -345,7 +347,8 @@ class FluidEngine:
         """
         resume = self._mid_step
         self._mid_step = False
-        self._stop_requested = False
+        if not self._interrupted:
+            self._stop_requested = False
         self._interrupted = False
         events = 0
         # Localize loop-invariant objects: ``_items`` and ``_timers`` are
@@ -360,7 +363,11 @@ class FluidEngine:
         progress_every = self._progress_every
         dispatch = self._dispatch
         try:
-            while resume or ((items or timers) and not self._stop_requested):
+            while resume or (
+                (items or timers)
+                and not self._stop_requested
+                and not self._interrupted
+            ):
                 if resume:
                     # The rest of a step an interrupt cut short.
                     resume = False

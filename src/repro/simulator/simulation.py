@@ -26,13 +26,15 @@ Execution semantics per stage (paper Eq. (1) / Fig. 8):
 from __future__ import annotations
 
 import copy
+import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Mapping, Protocol
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Protocol
 
 from repro.cluster.spec import ClusterSpec
 from repro.cluster.topology import Topology
 from repro.dag.job import Job
+from repro.dag.stage import Stage
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.simulator.engine import FluidEngine
 from repro.simulator.vector import VectorFluidEngine
@@ -60,6 +62,15 @@ _PREFETCH_DONE = 4  # (kind, reader stage key, dst worker, (producer key, src))
 _SUBMIT = 5  # (kind, stage key)
 _JOB_START = 6  # (kind, job id)
 _DEGRADE = 7  # (kind, index into Simulation._injections)
+
+
+def phantom_stage(stage: Stage) -> Stage:
+    """``stage`` as a zero-volume *phantom*: it completes (nearly)
+    instantly and consumes no resources, so DAG dependencies through it
+    still resolve (Algorithm 1's unscheduled parallel stages)."""
+    return dataclasses.replace(
+        stage, input_bytes=0.0, output_bytes=0.0, process_rate=1.0
+    )
 
 
 class SubmissionPolicy(Protocol):
@@ -332,10 +343,14 @@ class _StageRun:
     )
 
     def __init__(
-        self, job: Job, stage_id: str, workers: list[str], owner: object = None
+        self, job: Job, stage_id: str, workers: list[str], owner: object = None,
+        phantom: bool = False,
     ) -> None:
         self.job = job
+        #: The stage's spec in this run: the job's, or its phantom.
         self.stage = job.stage(stage_id)
+        if phantom:
+            self.stage = phantom_stage(self.stage)
         self.key = (job.job_id, stage_id)
         self.record = StageRecord(job.job_id, stage_id)
         self.remaining_parents = len(job.parents(stage_id))
@@ -440,6 +455,8 @@ class Simulation:
             self.engine._allocate_incremental = self._scoped.allocate
         self.events: list[SimEvent] = []
         self._jobs: dict[str, tuple[Job, SubmissionPolicy, float]] = {}
+        # Per job, the stages that run as phantoms (see add_job()).
+        self._phantoms: dict[str, frozenset[str]] = {}
         self._runs: dict[tuple[str, str], _StageRun] = {}
         self._remaining_stages: dict[str, int] = {}
         self._job_records: dict[str, JobRecord] = {}
@@ -463,13 +480,21 @@ class Simulation:
         # simulation may mutate in place.
         self._live: "set[tuple[str, str]]" = set()
         self._token = object()
-        # Withheld stage (see withhold()): its key, the timer sequence
-        # number reserved when it became ready, its release delay once
-        # released, and the latest release instant probed so far.
-        self._held: "tuple[str, str] | None" = None
-        self._held_seq: "int | None" = None
-        self._held_delay: "float | None" = None
+        # Withheld stages (see withhold()): unreleased ones map to the
+        # timer sequence number reserved when they became ready (None
+        # before); stages released before becoming ready keep their
+        # delay here until they do.  The floor is the latest release
+        # instant probed so far.
+        self._held: "dict[tuple[str, str], int | None]" = {}
+        self._released: "dict[tuple[str, str], float]" = {}
         self._held_floor = -math.inf
+        # Snapshot trigger (see snapshot_on_ready()): the stage's key and
+        # the sequence number it reserved on becoming ready.
+        self._next: "tuple[str, str] | None" = None
+        self._next_seq: "int | None" = None
+        #: The fork taken when the snapshot_on_ready() stage became
+        #: ready (inherited by later forks); None until then.
+        self.snapshot: "Simulation | None" = None
         #: Fault injector; None (no overhead, byte-identical event logs)
         #: unless the config carries a non-empty fault plan.  Imported
         #: lazily so the simulator has no hard dependency on the fault
@@ -538,11 +563,15 @@ class Simulation:
         job: Job,
         policy: "SubmissionPolicy | None" = None,
         submit_time: float = 0.0,
+        phantoms: "Iterable[str]" = (),
     ) -> None:
         """Register a job for execution.
 
         Must be called before :meth:`run`.  Each job may carry its own
-        policy (multi-job trace replay mixes them).
+        policy (multi-job trace replay mixes them).  Stages named in
+        ``phantoms`` run as :func:`phantom_stage` stand-ins (the model
+        of an Algorithm 1 scan, where unscheduled parallel stages exert
+        no interference).
         """
         if self._started:
             raise RuntimeError("cannot add jobs after run() started")
@@ -550,7 +579,13 @@ class Simulation:
             raise ValueError(f"duplicate job id {job.job_id!r}")
         if submit_time < 0:
             raise ValueError("submit_time must be >= 0")
+        phantoms = frozenset(phantoms)
+        unknown = phantoms - set(job.stage_ids)
+        if unknown:
+            raise KeyError(f"job {job.job_id!r} has no stages {sorted(unknown)}")
         self._jobs[job.job_id] = (job, policy or ImmediatePolicy(), submit_time)
+        if phantoms:
+            self._phantoms[job.job_id] = phantoms
 
     def withhold(self, job_id: str, stage_id: str) -> None:
         """Never submit this stage until :meth:`release` says when.
@@ -562,17 +597,73 @@ class Simulation:
         reserves the timer sequence number its submission would have
         taken, so a later :meth:`release` orders the submission among
         same-instant timers exactly as the unwithheld run does.
+        Several stages may be withheld at once (a :attr:`snapshot`
+        holds two); :meth:`advance_withheld` needs exactly one.
         Requires the scalar engine (``vector=False``), like
         :meth:`fork`.
         """
         if self._started:
             raise RuntimeError("withhold() must be called before the run starts")
+        key = self._check_stage(job_id, stage_id, "withholding a stage")
+        self._held[key] = None
+
+    @property
+    def withheld(self) -> "list[str]":
+        """Stage ids of the unreleased withheld stages."""
+        return [sid for _jid, sid in self._held]
+
+    def stage_record(self, job_id: str, stage_id: str) -> StageRecord:
+        """One stage's record as the run stands (unset fields are NaN)."""
+        run = self._runs.get((job_id, stage_id))
+        return run.record if run is not None else StageRecord(job_id, stage_id)
+
+    def snapshot_on_ready(self, job_id: str, stage_id: str) -> None:
+        """Keep a snapshot of the run at the instant this stage becomes
+        ready: a :meth:`fork` in which the stage is the job's real one
+        (no longer a phantom) and withheld, its submission's timer
+        sequence number reserved as :meth:`withhold` does.  This run
+        itself goes on unchanged, submitting the stage as its policy
+        says.  The fork lands in :attr:`snapshot`, which later forks of
+        this run inherit.
+
+        This is how one Algorithm 1 scan hands its trajectory to the
+        next: scan ``k + 1``'s model differs from scan ``k``'s (``k``
+        released at its chosen delay) only in stage ``k + 1``, a phantom
+        in scan ``k`` and withheld in scan ``k + 1``, so both runs agree
+        until that stage becomes ready.  No snapshot is taken of a stage
+        that is ready already, nor under pipelined shuffle: its
+        prefetches read a stage's volumes before it becomes ready, where
+        the phantom's and the real stage's runs already differ.
+        """
+        key = self._check_stage(job_id, stage_id, "snapshotting a run")
+        if key in self._held:
+            raise ValueError(f"stage {stage_id!r} is withheld")
+        run = self._runs.get(key)
+        ready = run is not None and not math.isnan(run.record.ready_time)
+        if not (ready or self.config.pipelined_shuffle):
+            self._next = key
+
+    def _check_stage(
+        self, job_id: str, stage_id: str, what: str
+    ) -> "tuple[str, str]":
+        """Key of a registered stage of a scalar-engine simulation."""
         if type(self.engine) is not FluidEngine:
-            raise ValueError("withholding a stage requires the scalar engine "
+            raise ValueError(f"{what} requires the scalar engine "
                              "(SimulationConfig.vector=False)")
         if job_id not in self._jobs or stage_id not in self._jobs[job_id][0].stage_ids:
             raise KeyError(f"no stage {stage_id!r} in job {job_id!r}")
-        self._held = (job_id, stage_id)
+        return (job_id, stage_id)
+
+    def _held_key(self, stage_id: "str | None", what: str) -> "tuple[str, str]":
+        """The unreleased withheld stage ``stage_id`` — or, if None, the
+        only one."""
+        keys = [k for k in self._held if stage_id is None or k[1] == stage_id]
+        if len(keys) != 1:
+            name = "" if stage_id is None else f" {stage_id!r}"
+            raise RuntimeError(
+                f"{what} needs exactly one unreleased withheld stage{name}"
+            )
+        return keys[0]
 
     def advance_withheld(self, delay: float, horizon: float = math.inf) -> None:
         """Advance the withheld trajectory up to the withheld stage's
@@ -585,39 +676,39 @@ class Simulation:
         ``delay``.  Release instants must not decrease from one call to
         the next: the trajectory cannot move backwards.
         """
-        if self._held is None or self._held_delay is not None:
-            raise RuntimeError("advance_withheld() needs an unreleased withheld stage")
+        key = self._held_key(None, "advance_withheld()")
         if not self._started:
             self._start()
-        engine = self.engine
         limit = None if math.isinf(horizon) else horizon
-        if self._held_seq is None:
+        if self._held[key] is None:
             # Up to the stage's readiness (its _stage_ready stops the
             # engine), never past the horizon.
-            engine.run(pause=limit)
-            if self._held_seq is None:
+            self._run_engine(pause=limit)
+            if self._held[key] is None:
                 return
-        release = self._release_instant(delay)
+        release = self._release_instant(key, delay)
         self._held_floor = release
-        engine.run(pause=release if limit is None else min(release, limit))
+        self._run_engine(pause=release if limit is None else min(release, limit))
 
-    def release(self, delay: float) -> None:
-        """Submit the withheld stage ``delay`` seconds after it became
-        ready — immediately scheduled if it already is, else applied
-        when it becomes ready."""
-        if self._held is None or self._held_delay is not None:
-            raise RuntimeError("release() needs an unreleased withheld stage")
+    def release(self, delay: float, stage_id: "str | None" = None) -> None:
+        """Submit the withheld stage (``stage_id``, needed only while
+        several are withheld) ``delay`` seconds after it became ready —
+        immediately scheduled if it already is, else applied when it
+        becomes ready."""
+        key = self._held_key(stage_id, "release()")
         if delay < 0 or math.isnan(delay):
             raise ValueError(f"delay must be >= 0, got {delay!r}")
-        if self._held_seq is not None:
-            self.engine.push(self._release_instant(delay), self._held_seq,
-                             (_SUBMIT, self._held))
-        self._held_delay = delay
+        seq = self._held[key]
+        if seq is None:
+            self._released[key] = delay
+        else:
+            self.engine.push(self._release_instant(key, delay), seq, (_SUBMIT, key))
+        del self._held[key]
 
-    def _release_instant(self, delay: float) -> float:
-        """``ready + delay`` of the (ready) withheld stage, checked
-        against how far the withheld trajectory has already advanced."""
-        release = self._runs[self._held].record.ready_time + delay
+    def _release_instant(self, key: "tuple[str, str]", delay: float) -> float:
+        """``ready + delay`` of a ready withheld stage, checked against
+        how far the withheld trajectory has already advanced."""
+        release = self._runs[key].record.ready_time + delay
         if release < self._held_floor:
             raise ValueError(
                 f"release instant {release!r} precedes the withheld "
@@ -625,6 +716,37 @@ class Simulation:
                 "delays in ascending order"
             )
         return release
+
+    def _run_engine(self, until: "float | None" = None,
+                    pause: "float | None" = None) -> None:
+        """``engine.run``, taking the :meth:`snapshot_on_ready` snapshot
+        when its stage becomes ready and then running on — unless a
+        withheld stage became ready as well, which ends the run."""
+        held = self._held
+        while True:
+            waiting = sum(1 for seq in held.values() if seq is None)
+            if pause is None:
+                self.engine.run(until)  # the vector engine cannot pause
+            else:
+                self.engine.run(until, pause)
+            if self._next_seq is None:
+                return
+            self._take_snapshot()
+            if sum(1 for seq in held.values() if seq is None) != waiting:
+                return
+
+    def _take_snapshot(self) -> None:
+        """Fork at the snapshot stage's readiness (the engine stopped
+        right after it), then submit the stage here as usual."""
+        key, seq = self._next, self._next_seq
+        self._next = self._next_seq = None
+        snap = self.fork()
+        run = snap._runs[key]  # ready, so the fork's own copy
+        run.stage = run.job.stage(key[1])
+        snap._held[key] = seq
+        snap._held_floor = -math.inf
+        self.snapshot = snap
+        self._schedule_submit(self._runs[key], seq)
 
     def fork(self) -> "Simulation":
         """An independent copy of this (started) simulation's run state.
@@ -639,7 +761,8 @@ class Simulation:
         mutates one (a parent finishing, a prefetch aimed at it) copies
         it.  Engine events are data naming stage keys, which each copy
         resolves against its own runs.  Fork cost is thus proportional
-        to the in-flight state, not to the job size.
+        to the in-flight state, not to the job size.  The copy keeps
+        withheld stages, the snapshot trigger and :attr:`snapshot`.
 
         Supported for the scalar engine on healthy runs without metric
         tracking or scheduled degradations (the planning probes'
@@ -682,6 +805,10 @@ class Simulation:
         }
         new._running = dict(self._running)
         new._pending_tasks = dict(self._pending_tasks)
+        new._held = dict(self._held)
+        new._released = dict(self._released)
+        new._watch_remaining = None
+        new._ran = False
         return new
 
     def _own(self, key: "tuple[str, str]") -> _StageRun:
@@ -708,8 +835,11 @@ class Simulation:
         for job_id, (job, _policy, submit_time) in self._jobs.items():
             self._remaining_stages[job_id] = job.num_stages
             self._job_records[job_id] = JobRecord(job_id, submit_time)
+            phantoms = self._phantoms.get(job_id, ())
             for sid in job.stage_ids:
-                self._runs[(job_id, sid)] = _StageRun(job, sid, self.workers, token)
+                self._runs[(job_id, sid)] = _StageRun(
+                    job, sid, self.workers, token, sid in phantoms
+                )
             self.engine.schedule(submit_time, (_JOB_START, job_id))
 
     def run(self) -> SimulationResult:
@@ -720,9 +850,9 @@ class Simulation:
         self._ran = True
         if not self._started:
             self._start()
-        if self._held is not None and self._held_delay is None:
+        if self._held:
             raise RuntimeError("release() the withheld stage before run()")
-        self.engine.run()
+        self._run_engine()
         result = SimulationResult(
             cluster=self.cluster,
             stage_records={k: r.record for k, r in self._runs.items()},
@@ -780,7 +910,7 @@ class Simulation:
             }
         if remaining is None or remaining:
             self._watch_remaining = remaining
-            self.engine.run(until=None if math.isinf(horizon) else horizon)
+            self._run_engine(until=None if math.isinf(horizon) else horizon)
             self._watch_remaining = None
         return {k: r.record for k, r in self._runs.items()}
 
@@ -826,29 +956,43 @@ class Simulation:
             raise ValueError(f"unknown engine event {event!r}")
 
     def _stage_ready(self, run: _StageRun) -> None:
-        now = self.engine.now
-        run.record.ready_time = now
-        self._live.add(run.key)
-        self._log(EventKind.STAGE_READY, run.key[0], run.key[1])
-        if run.key == self._held:
-            delay = self._held_delay
-            if delay is None:
-                # Withheld: keep the submission timer's place in the
-                # same-instant order, and hand control back to
-                # advance_withheld(), which now knows the ready time —
-                # mid-step if a timer readied the stage, so a zero delay
-                # can still join this step's timers.
-                self._held_seq = self.engine.reserve_seq()
-                self.engine.interrupt()
-                return
+        run.record.ready_time = self.engine.now
+        key = run.key
+        self._live.add(key)
+        self._log(EventKind.STAGE_READY, key[0], key[1])
+        if key in self._held:
+            # Withheld: keep the submission timer's place in the
+            # same-instant order, and hand control back to
+            # advance_withheld(), which now knows the ready time —
+            # mid-step if a timer readied the stage, so a zero delay can
+            # still join this step's timers.
+            self._held[key] = self.engine.reserve_seq()
+            self.engine.interrupt()
+        elif key == self._next:
+            # Likewise stop for the snapshot (_run_engine takes it and
+            # then submits the stage in the place reserved here).
+            self._next_seq = self.engine.reserve_seq()
+            self.engine.interrupt()
         else:
+            self._schedule_submit(run)
+
+    def _schedule_submit(self, run: _StageRun, seq: "int | None" = None) -> None:
+        """Schedule a ready stage's submission after its delay (the one
+        it was released with, else its policy's), under ``seq`` if it
+        reserved one."""
+        ready = run.record.ready_time
+        delay = self._released.pop(run.key, None)
+        if delay is None:
             job, policy, _t = self._jobs[run.key[0]]
-            delay = policy.delay(job, run.key[1], now)
+            delay = policy.delay(job, run.key[1], ready)
         if delay < 0 or math.isnan(delay):
             raise ValueError(
                 f"policy returned invalid delay {delay!r} for stage {run.key[1]!r}"
             )
-        self.engine.schedule(now + delay, (_SUBMIT, run.key))
+        if seq is None:
+            self.engine.schedule(ready + delay, (_SUBMIT, run.key))
+        else:
+            self.engine.push(ready + delay, seq, (_SUBMIT, run.key))
 
     def _read_sources(self, run: _StageRun) -> list[str]:
         """Nodes holding the stage's input data."""
@@ -928,9 +1072,12 @@ class Simulation:
         aggregation, prolonging its execution (Sec. 5.2).
         """
         volume = run.stage.input_bytes / len(self.workers)
-        parents = run.job.parents(run.key[1])
+        job_id, stage_id = run.key
+        parents = run.job.parents(stage_id)
         if self.config.pipelined_shuffle and parents:
-            parent_out = sum(run.job.stage(p).output_bytes for p in parents)
+            # The parents' specs in this run (a phantom writes nothing).
+            runs = self._runs
+            parent_out = sum(runs[(job_id, p)].stage.output_bytes for p in parents)
             if parent_out > 0:
                 ratio = run.stage.input_bytes / parent_out
                 if ratio > 1.0:
@@ -1130,7 +1277,9 @@ class Simulation:
             # The reader may not be ready yet, so it may still be shared.
             child_run = self._own(child_run.key)
             parents = job.parents(child)
-            total_parent_out = sum(job.stage(p).output_bytes for p in parents)
+            total_parent_out = sum(
+                self._runs[(job_id, p)].stage.output_bytes for p in parents
+            )
             if total_parent_out <= 0:
                 continue
             share = run.stage.output_bytes / total_parent_out

@@ -6,8 +6,9 @@ The committed fixture records, for ~30 twin-trace jobs (one of them a
 predicted and baseline makespans and the evaluation count of each job,
 plus the per-scan decision audit: the candidates simulated with their
 predicted makespans, the candidates rejected at the horizon, and the
-bound-pruned count.  Every probe optimization (memo, bound prune,
-truncation, forked prefixes) must reproduce it with ``==`` on floats.
+bound-pruned count.  Every probe optimization (bound prune,
+truncation, forked prefixes, cross-scan prefix reuse) must reproduce it
+with ``==`` on floats.
 
 Regenerate (only after an *intentional* change to Algorithm 1 or the
 fluid model) with:
@@ -54,18 +55,21 @@ def _inputs():
     return small + [giant], cluster
 
 
-def _plan(job, cluster) -> dict:
+def _plan(job, cluster) -> "tuple[dict, list]":
+    """The job's golden record, and where each scan's prefix started
+    (the audit's ``prefix``, which the golden does not pin)."""
     params = DelayStageParams(
         max_slots=12,
         sim_config=SimulationConfig(track_metrics=False, contention_penalty=0.5),
     )
     tracer = Tracer()
     schedule = delay_stage_schedule(job, cluster, params, tracer=tracer)
-    scans = []
+    scans, sources = [], []
     for span in tracer.spans:
         audit = span.args.get("audit") if span.args else None
         if audit is None:
             continue
+        sources.append(audit["prefix"])
         scans.append({
             "stage_id": audit["stage_id"],
             "candidates": audit["candidates"],
@@ -81,12 +85,16 @@ def _plan(job, cluster) -> dict:
         "baseline_makespan": schedule.baseline_makespan,
         "evaluations": schedule.evaluations,
         "scans": scans,
-    }
+    }, sources
+
+
+def _plans() -> list:
+    jobs, cluster = _inputs()
+    return [_plan(job, cluster) for job in jobs]
 
 
 def _golden_records() -> list:
-    jobs, cluster = _inputs()
-    return [_plan(job, cluster) for job in jobs]
+    return [record for record, _sources in _plans()]
 
 
 @pytest.fixture(scope="module")
@@ -95,9 +103,14 @@ def recorded():
 
 
 @pytest.fixture(scope="module")
-def planned():
+def plans():
+    return _plans()
+
+
+@pytest.fixture(scope="module")
+def planned(plans):
     # Round-trip through JSON so tuples/lists compare like the fixture.
-    return json.loads(json.dumps(_golden_records()))
+    return json.loads(json.dumps([record for record, _sources in plans]))
 
 
 def test_alg1_scans_match_golden(recorded, planned):
@@ -113,6 +126,27 @@ def test_golden_covers_giant_and_pruning(recorded):
     scans = [s for r in recorded for s in r["scans"]]
     assert any(s["pruned_by_bound"] for s in scans)
     assert any(s["rejected_candidates"] for s in scans)
+
+
+#: Scans after a job's first that still build their prefix from t = 0:
+#: the stage became ready before the previous scanned stage (a new
+#: path's first stage), so the previous scan's run started past it.
+FRESH_AFTER_FIRST = 44
+
+
+def test_prefixes_reused_after_each_jobs_first_scan(plans):
+    """Cross-scan prefix reuse: a job's first scan simulates from t = 0,
+    later scans start from the previous scan's snapshot — except the
+    pinned few whose stage was ready before the previous scan began."""
+    firsts = fresh_later = reused = 0
+    for _record, sources in plans:
+        if not sources:
+            continue
+        assert sources[0] == "fresh"
+        firsts += 1
+        fresh_later += sources[1:].count("fresh")
+        reused += sum(1 for s in sources[1:] if s in ("withheld", "probe"))
+    assert (firsts, fresh_later, reused) == (29, FRESH_AFTER_FIRST, 167)
 
 
 if __name__ == "__main__":  # pragma: no cover - regeneration helper

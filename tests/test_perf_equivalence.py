@@ -1,7 +1,7 @@
 """The perf layer is bit-exact: optimized and escape-hatch paths agree.
 
-The PR that introduced the scoped allocator, Algorithm 1 memoization /
-bound pruning, and parallel replay claims *identical* results — not
+The scoped allocator, Algorithm 1's bound pruning, forked probes and
+cross-scan prefix reuse, and parallel replay claim *identical* results — not
 merely close ones.  These property tests are that claim's enforcement:
 every comparison below is ``==`` on floats, never ``pytest.approx``.
 """
@@ -106,7 +106,7 @@ def test_incremental_eventlog_seed_identical():
 
 
 # --------------------------------------------------------------------- #
-# tentpole 2: memoized + bound-pruned Algorithm 1 == plain Algorithm 1
+# tentpole 2: bound-pruned, truncated Algorithm 1 == plain Algorithm 1
 
 
 @settings(max_examples=15, deadline=None)
@@ -115,13 +115,12 @@ def test_incremental_eventlog_seed_identical():
     num_stages=st.integers(3, 8),
     parallelism=st.floats(0.3, 0.9),
 )
-def test_memoized_alg1_bit_identical(seed, num_stages, parallelism):
+def test_pruned_alg1_matches_plain(seed, num_stages, parallelism):
     job = random_job(num_stages, parallelism=parallelism, rng=seed)
     cluster = _cluster()
     fast = delay_stage_schedule(job, cluster, DelayStageParams(max_slots=8))
     plain = delay_stage_schedule(
-        job, cluster,
-        DelayStageParams(max_slots=8, memoize=False, bound_prune=False),
+        job, cluster, DelayStageParams(max_slots=8, bound_prune=False),
     )
     # Semantic fields only: evaluations/compute_seconds are telemetry
     # and legitimately differ (that's the point of the optimization).
@@ -133,7 +132,7 @@ def test_memoized_alg1_bit_identical(seed, num_stages, parallelism):
     assert fast.evaluations <= plain.evaluations
 
 
-def test_memoized_alg1_with_refinement_identical():
+def test_pruned_alg1_with_refinement_matches_plain():
     job = random_job(7, parallelism=0.7, rng=42)
     cluster = _cluster()
     fast = delay_stage_schedule(
@@ -141,8 +140,7 @@ def test_memoized_alg1_with_refinement_identical():
     )
     plain = delay_stage_schedule(
         job, cluster,
-        DelayStageParams(max_slots=8, refine_passes=1, memoize=False,
-                         bound_prune=False),
+        DelayStageParams(max_slots=8, refine_passes=1, bound_prune=False),
     )
     assert fast.delays == plain.delays
     assert fast.predicted_makespan == plain.predicted_makespan
@@ -374,6 +372,229 @@ def test_fork_requires_scalar_engine_and_healthy_run():
     tracked.advance_withheld(0.0)
     with pytest.raises(ValueError, match="metric"):
         tracked.fork()
+
+
+# --------------------------------------------------------------------- #
+# tentpole 5: a scan started from the previous scan's snapshot == a scan
+# started from t = 0
+
+
+def _records_match(got, want) -> None:
+    assert got.keys() == want.keys()
+    for key in got:
+        assert _records_equal(got[key], want[key]), key
+
+
+def _scan_pair(job, cfg, held, nxt, delays, phantoms, xs, ys, caps=None):
+    """Scan ``held`` with ``nxt`` a phantom; for every candidate ``x``,
+    start scan ``nxt`` from that probe's snapshot and check it against
+    a fresh prefix: same ready time, same records for every ``y``.
+    Returns the reused prefixes' sources."""
+    cluster = _cluster()
+    scan = WithheldTrajectory(job, cluster, delays, held, phantoms=phantoms,
+                              then=nxt, config=cfg, pair_capacities=caps)
+    sources = []
+    for x in xs:
+        scan.probe(x)
+        if cfg.pipelined_shuffle:
+            assert scan.snapshot is None  # prefetches read the phantom early
+            continue
+        table = {**delays, held: x}
+        rest = phantoms - {nxt}
+        # A withheld-prefix snapshot serves every later candidate too:
+        # consume a fork of it.
+        reused = WithheldTrajectory(job, cluster, table, nxt, phantoms=rest,
+                                    start=scan.snapshot.fork())
+        fresh = WithheldTrajectory(job, cluster, table, nxt, phantoms=rest,
+                                   config=cfg, pair_capacities=caps)
+        for y in ys:
+            _records_match(reused.probe(y), fresh.probe(y))
+        assert reused.ready_time == fresh.ready_time
+        assert not math.isnan(fresh.ready_time)
+        sources.append(reused.source)
+    return sources
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    num_stages=st.integers(3, 8),
+    penalty=st.sampled_from([0.0, 0.5]),
+    pipelined=st.booleans(),
+    granular=st.booleans(),
+    fanin=st.sampled_from([None, 1, 2]),
+    caps=st.booleans(),
+    data=st.data(),
+)
+def test_reused_prefix_matches_fresh(
+    seed, num_stages, penalty, pipelined, granular, fanin, caps, data,
+):
+    job = random_job(num_stages, parallelism=0.7, rng=seed)
+    cfg = _fork_config(penalty, pipelined, granular, fanin, events=True)
+    sids = list(job.stage_ids)
+    held, nxt = data.draw(st.permutations(sids))[:2]
+    others = [sid for sid in sids if sid not in (held, nxt)]
+    phantoms = {nxt} | data.draw(st.sets(st.sampled_from(others)) if others
+                                 else st.just(set()))
+    delays = {sid: data.draw(st.sampled_from([0.0, 1.5, 7.0]))
+              for sid in others if sid not in phantoms}
+    xs = sorted(data.draw(st.lists(st.floats(0.0, 60.0), min_size=1, max_size=4)))
+    ys = sorted(data.draw(st.lists(st.floats(0.0, 60.0), min_size=1, max_size=3)))
+    _scan_pair(job, cfg, held, nxt, delays, phantoms, xs, ys,
+               _PAIR_CAPS if caps else None)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    num_stages=st.integers(3, 9),
+    granular=st.booleans(),
+    data=st.data(),
+)
+def test_taking_a_snapshot_leaves_the_run_unchanged(seed, num_stages, granular, data):
+    """The run that snapshots goes on exactly as if it had not: the
+    stage is submitted under the sequence number it reserved."""
+    job = random_job(num_stages, parallelism=0.8, rng=seed)
+    cfg = _fork_config(0.5, False, granular, None, events=True)
+    sids = list(job.stage_ids)
+    nxt = data.draw(st.sampled_from(sids))
+    phantoms = data.draw(st.sets(st.sampled_from(sids)))
+    runs = []
+    for snapshot in (False, True):
+        sim = Simulation(_cluster(), dataclasses.replace(cfg, vector=False))
+        sim.add_job(job, FixedDelayPolicy({}), phantoms=phantoms)
+        if snapshot:
+            sim.snapshot_on_ready(job.job_id, nxt)
+        runs.append(sim.run())
+        if snapshot:
+            assert sim.snapshot is not None
+    _assert_same_run(runs[1], runs[0])
+
+
+def test_reuse_from_withheld_prefix_and_from_probe():
+    """``c`` (``a``'s child) becomes ready while ``b`` is still held for
+    a long delay, but only after ``b``'s release for a short one."""
+    cfg = _fork_config(0.5, False, False, None, events=True)
+    sources = _scan_pair(_two_root_job(), cfg, "b", "c", {}, {"c"},
+                         [0.0, 1e3], [0.0, 2.0])
+    assert sources == ["probe", "withheld"]
+
+
+def test_reuse_when_next_ready_at_the_release_instant():
+    """``ready(c) == ready(b) + x``: ``b``'s release timer and ``a``'s
+    completion share one step."""
+    job = _two_root_job()
+    cfg = _fork_config(0.5, False, False, None, events=True)
+    ready_c = _unforked(job, {"b": 1e4}, cfg).stage("tie", "a").finish_time
+    assert _unforked(job, {"b": ready_c}, cfg).stage("tie", "c").ready_time == ready_c
+    assert _scan_pair(job, cfg, "b", "c", {}, {"c"}, [ready_c], [0.0]) == ["probe"]
+
+
+def _timer_ready_job():
+    """``q``'s parent ``p`` is a phantom in the scans below: ``p``'s
+    submission timer completes it at once and readies ``q`` mid-step."""
+    from repro.dag import JobBuilder
+
+    return (
+        JobBuilder("timer")
+        .stage("s", input_mb=400, output_mb=100, process_rate_mb=40)
+        .stage("r", input_mb=200, output_mb=100, process_rate_mb=40)
+        .stage("p", input_mb=100, output_mb=50, process_rate_mb=40)
+        .stage("q", input_mb=150, output_mb=50, process_rate_mb=40)
+        .edge("r", "p").edge("p", "q")
+        .build()
+    )
+
+
+@pytest.mark.parametrize("job, held, nxt, phantoms, mid_step", [
+    # q's phantom parent p: p's submission timer completes it at once.
+    (_timer_ready_job(), "s", "q", {"p", "q"}, True),
+    # The root r, with s, at the job-start timer.
+    (_timer_ready_job(), "s", "r", {"p", "r"}, True),
+    # a's last write completing.
+    (_two_root_job(), "b", "c", {"c"}, False),
+])
+def test_reuse_whether_a_timer_or_a_completion_readies_the_next_stage(
+    job, held, nxt, phantoms, mid_step,
+):
+    """A timer readies the next stage mid-step, so its snapshot resumes
+    that step; a completion readies it at the end of a step."""
+    cfg = _fork_config(0.5, False, False, None, events=True)
+    scan = WithheldTrajectory(job, _cluster(), {}, held, phantoms=phantoms,
+                              then=nxt, config=cfg)
+    scan.probe(1e3)
+    assert scan.snapshot.engine._mid_step is mid_step
+    sources = _scan_pair(job, cfg, held, nxt, {}, phantoms,
+                         [0.0, 3.0, 1e3], [0.0, 4.0])
+    assert sources[-1] == "withheld"
+
+
+def _shadowed_probes(stats):
+    """``probe_schedule`` that checks every probe of a reused prefix
+    against a fresh prefix of the same scan."""
+    from repro.dag.graph import parallel_stage_set
+    from repro.model import interference
+
+    real = interference.probe_schedule
+    shadows = {}
+
+    def probe(job, cluster, delays, *, prefix, **kw):
+        got = real(job, cluster, delays, prefix=prefix, **kw)
+        stats[prefix.source] += 1
+        if prefix.source != "fresh":
+            shadow = shadows.get(prefix)
+            if shadow is None:
+                # The scan watches its visible stages; the other
+                # parallel stages are its phantoms.
+                shadow = shadows[prefix] = WithheldTrajectory(
+                    job, cluster, prefix.delays, prefix.stage_id,
+                    phantoms=parallel_stage_set(job) - set(kw["watch"]),
+                    config=kw["config"], pair_capacities=kw["pair_capacities"],
+                )
+            assert got == real(job, cluster, delays, prefix=shadow, **kw)
+            assert shadow.ready_time == prefix.ready_time
+        return got
+
+    return probe
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    num_stages=st.integers(4, 9),
+    parallelism=st.floats(0.4, 0.9),
+    penalty=st.sampled_from([0.0, 0.5]),
+    pipelined=st.booleans(),
+    granular=st.booleans(),
+    fanin=st.sampled_from([None, 2]),
+    caps=st.booleans(),
+)
+def test_alg1_reused_prefixes_match_fresh(
+    seed, num_stages, parallelism, penalty, pipelined, granular, fanin, caps,
+):
+    """Algorithm 1 end to end: every probe of every reused prefix, with
+    its real horizon and watch set, equals the fresh prefix's probe."""
+    import collections
+    from unittest import mock
+
+    job = random_job(num_stages, parallelism=parallelism, rng=seed)
+    params = DelayStageParams(
+        max_slots=6,
+        sim_config=_fork_config(penalty, pipelined, granular, fanin),
+    )
+    caps = _PAIR_CAPS if caps else None
+    stats = collections.Counter()
+    with mock.patch("repro.core.delaystage.probe_schedule",
+                    _shadowed_probes(stats)):
+        reused = delay_stage_schedule(job, _cluster(), params,
+                                      pair_capacities=caps)
+    if pipelined:
+        assert set(stats) <= {"fresh"}
+    fresh = delay_stage_schedule(job, _cluster(),
+                                 dataclasses.replace(params, bound_prune=False),
+                                 pair_capacities=caps)
+    assert reused.delays == fresh.delays
+    assert reused.predicted_makespan == fresh.predicted_makespan
 
 
 # --------------------------------------------------------------------- #

@@ -2,7 +2,7 @@
 
 `tests/test_perf_equivalence.py` proves the optimized paths produce
 identical results; this file tests the supporting pieces directly —
-truncated probes, the evaluation cache, the bound-prune audit fields,
+truncated probes, the bound prune and its audit fields,
 allocator telemetry, and the metrics fast paths.
 """
 
@@ -14,11 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core.delaystage import DelayStageParams, delay_stage_schedule
-from repro.model.interference import (
-    EvaluationCache,
-    evaluate_schedule,
-    probe_schedule,
-)
+from repro.model.interference import evaluate_schedule, probe_schedule
 from repro.obs import Tracer, decision_audits, to_chrome_trace
 from repro.workloads.synthetic import random_job
 
@@ -52,35 +48,14 @@ def test_probe_watch_stops_early(fork_join_job, small_cluster):
 
 
 # --------------------------------------------------------------------- #
-# evaluation cache
+# bound prune
 
 
-def test_evaluation_cache_hit_returns_identical_object(
-    fork_join_job, small_cluster
-):
-    cache = EvaluationCache()
-    delays = {"S1": 1.0, "S2": 0.0}
-    key = cache.key(["S3"], delays)
-    assert cache.get(key) is None
-    ev = evaluate_schedule(fork_join_job, small_cluster, delays)
-    cache.put(key, ev)
-    assert cache.get(key) is ev
-    assert cache.hits == 1 and cache.misses == 1 and len(cache) == 1
-
-
-def test_evaluation_cache_key_canonical():
-    a = EvaluationCache.key(["S1", "S2"], {"S3": 1.0, "S4": 2.0})
-    b = EvaluationCache.key(["S2", "S1"], {"S4": 2.0, "S3": 1.0})
-    assert a == b
-
-
-def test_memoization_saves_evaluations(fork_join_job, small_cluster):
-    fast = delay_stage_schedule(
-        fork_join_job, small_cluster, DelayStageParams(bound_prune=False)
-    )
+def test_bound_prune_saves_evaluations(small_cluster):
+    job = random_job(8, parallelism=0.7, rng=5)
+    fast = delay_stage_schedule(job, small_cluster)
     plain = delay_stage_schedule(
-        fork_join_job, small_cluster,
-        DelayStageParams(memoize=False, bound_prune=False),
+        job, small_cluster, DelayStageParams(bound_prune=False),
     )
     assert fast.evaluations < plain.evaluations
     assert fast.delays == plain.delays
