@@ -36,6 +36,7 @@ Fault model (see ``docs/faults.md``):
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
@@ -97,7 +98,9 @@ class FaultInjector:
     """Applies one :class:`FaultPlan` to one :class:`Simulation`."""
 
     def __init__(self, sim: "Simulation", plan: FaultPlan) -> None:
-        self.sim = sim
+        #: Weak: ``sim`` owns this injector, so a strong reference
+        #: would close a cycle that only the cyclic collector frees.
+        self.sim = weakref.proxy(sim)
         self.plan = plan
         self.stats = FaultStats(retry_budget=plan.retry_budget)
         #: Partition slot -> live host currently responsible for it.

@@ -8,6 +8,8 @@ assumption exactly:
   prefetch flows).  Vectorized with numpy: each water-filling iteration
   freezes at least one saturated constraint, so the loop runs at most
   ``O(num_constraints)`` times with ``O(F)`` work per iteration.
+  :func:`maxmin_class_rates` solves uncapped flows grouped into
+  (src, dst) classes with their multiplicities, bit-identically.
 * **Executors** — each node's executors are split equally among the
   stages currently *computing* there; a stage's rate is
   ``share * R_k``.
@@ -161,8 +163,7 @@ def _maxmin_small(flows: Sequence[NetworkFlow], topology: Topology) -> "list[flo
     Frozen flows are processed in ascending index order, the same order
     ``np.flatnonzero`` gives the vectorized path, so both paths apply
     capacity subtractions in the identical sequence and agree
-    bit-for-bit (the incremental allocator relies on this when it
-    re-solves a small component of a larger flow set).
+    bit-for-bit.
     """
     n = len(flows)
     n_nodes = topology.num_nodes
@@ -242,6 +243,81 @@ def _maxmin_small(flows: Sequence[NetworkFlow], topology: Topology) -> "list[flo
                     push(i)
         active = survivors
     raise RuntimeError("water-filling failed to converge")  # pragma: no cover
+
+
+def maxmin_class_rates(
+    srcs: Sequence[int],
+    dsts: Sequence[int],
+    counts: Sequence[int],
+    topology: Topology,
+) -> "list[float]":
+    """Max-min rates of uncapped flows grouped into (src, dst) classes.
+
+    Class ``c`` stands for ``counts[c]`` flows from node index
+    ``srcs[c]`` to ``dsts[c]``; the result is the rate each of them
+    gets.  It equals, bit for bit, the rate :func:`_maxmin_small` and
+    :func:`maxmin_network_rates` give every one of those flows: a flow's
+    fair level depends only on its two NICs, so a class freezes whole,
+    and every flow frozen in a round subtracts the same bottleneck from
+    its NICs, so the capacity left depends only on how many times it is
+    subtracted — never on flow order.  Each class subtracts its count
+    in sequence (never ``count * bottleneck``), clamping at zero per
+    step as :func:`_maxmin_small` does; the numpy path clamps after the
+    round instead, which agrees because a running value that went
+    negative stays negative.  Per-flow rate caps, pair caps and a finite
+    core fabric break the argument: those stay with the per-flow
+    solvers.
+    """
+    if topology._pair_caps or topology.core_capacity is not None:
+        raise ValueError("class water-filling needs uncapped NIC-only sharing")
+    n = len(counts)
+    n_nodes = topology.num_nodes
+    base_egress, base_ingress = topology.capacity_lists()
+    egress = base_egress.copy()
+    ingress = base_ingress.copy()
+    rates = [0.0] * n
+    level = [0.0] * n
+    active = list(range(n))
+    for _ in range(n + 1):
+        if not active:
+            return rates
+        n_eg = [0] * n_nodes
+        n_ing = [0] * n_nodes
+        for c in active:
+            n_eg[srcs[c]] += counts[c]
+            n_ing[dsts[c]] += counts[c]
+        bottleneck = math.inf
+        for c in active:
+            s = srcs[c]
+            d = dsts[c]
+            le = egress[s] / n_eg[s]
+            li = ingress[d] / n_ing[d]
+            lv = le if le <= li else li  # == min(le, li)
+            level[c] = lv
+            if lv < bottleneck:
+                bottleneck = lv
+        threshold = bottleneck + 1e-12
+        survivors: "list[int]" = []
+        for c in active:
+            if level[c] > threshold:
+                survivors.append(c)
+                continue
+            rates[c] = bottleneck
+            k = counts[c]
+            egress[srcs[c]] = _drain(egress[srcs[c]], bottleneck, k)
+            ingress[dsts[c]] = _drain(ingress[dsts[c]], bottleneck, k)
+        active = survivors
+    raise RuntimeError("water-filling failed to converge")  # pragma: no cover
+
+
+def _drain(capacity: float, rate: float, times: int) -> float:
+    """``capacity`` after ``times`` flows at ``rate`` each took their
+    share one by one, clamped at zero per step (zero stays zero)."""
+    for _ in range(times):
+        capacity -= rate
+        if not capacity > 0.0:
+            return 0.0
+    return capacity
 
 
 #: Demand/write counts above which the numpy batch path beats the
@@ -406,37 +482,3 @@ def _disk_shares_batch(writes: Sequence[DiskWrite], disk_bw_per_node: dict[str, 
     rates = (bw / counts)[node_idx]
     for i, w in enumerate(writes):
         w.rate = float(rates[i])
-
-
-def flow_components(flows: Sequence[NetworkFlow]) -> list[list[int]]:
-    """Partition flow indices into endpoint-connected components.
-
-    Two flows interact in water-filling only if they (transitively)
-    share a NIC, so max-min rates can be solved per connected component
-    of the endpoint graph.  Components are returned in order of first
-    appearance, with indices ascending inside each — the order the
-    global solve would visit them.  (The shared core fabric couples all
-    cross-rack flows; callers must fall back to a global solve when the
-    topology has a finite ``core_capacity``.)
-    """
-    parent: dict[str, str] = {}
-
-    def find(x: str) -> str:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:  # path compression
-            parent[x], x = root, parent[x]
-        return root
-
-    for f in flows:
-        for node in (f.src, f.dst):
-            parent.setdefault(node, node)
-        ra, rb = find(f.src), find(f.dst)
-        if ra != rb:
-            parent[rb] = ra
-
-    groups: dict[str, list[int]] = {}
-    for i, f in enumerate(flows):
-        groups.setdefault(find(f.src), []).append(i)
-    return list(groups.values())

@@ -28,6 +28,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Protocol
 
@@ -62,6 +63,25 @@ _PREFETCH_DONE = 4  # (kind, reader stage key, dst worker, (producer key, src))
 _SUBMIT = 5  # (kind, stage key)
 _JOB_START = 6  # (kind, job id)
 _DEGRADE = 7  # (kind, index into Simulation._injections)
+
+
+def _engine_callbacks(sim: "Simulation") -> tuple:
+    """``(allocate, dispatch)`` for ``sim``'s engine.
+
+    They reach ``sim`` through a weak reference: ``sim`` owns the
+    engine, so bound methods would close a reference cycle, and every
+    finished run (or discarded fork) would wait for the cyclic garbage
+    collector instead of being freed when its last user drops it.
+    """
+    ref = weakref.ref(sim)
+
+    def allocate(items: list) -> None:
+        ref()._allocate(items)
+
+    def dispatch(event: tuple) -> None:
+        ref()._dispatch(event)
+
+    return allocate, dispatch
 
 
 def phantom_stage(stage: Stage) -> Stage:
@@ -145,10 +165,9 @@ class SimulationConfig:
     track_occupancy: bool = False
     contention_penalty: float = 0.0
     #: Scoped fair-share reallocation: when a work item starts or
-    #: finishes, re-solve only the resource groups (node executors, node
-    #: disk, NIC-connected flow components) it touches instead of the
-    #: whole cluster.  Rates are bit-identical to the full re-solve (the
-    #: scoped path calls the same solvers on the same subsets); disable
+    #: finishes, re-solve only the node groups it touches and, for a
+    #: flow, one water-filling over (src, dst) pair classes, instead of
+    #: every item.  Rates are bit-identical to the full re-solve; disable
     #: (``--no-incremental``) only to bisect a suspected allocator bug.
     #: Ignored — the full allocator always runs — when
     #: ``pipelined_shuffle`` is on, because prefetch rate caps couple
@@ -440,17 +459,14 @@ class Simulation:
             else None
         )
         engine_cls = VectorFluidEngine if self.config.vector else FluidEngine
+        allocate, dispatch = _engine_callbacks(self)
         self.engine = engine_cls(
-            allocate=self._allocate,
+            allocate=allocate,
             observe=self.metrics.observe if self.metrics else None,
             progress=progress,
-            dispatch=self._dispatch,
+            dispatch=dispatch,
         )
-        self._scoped = (
-            ScopedAllocator(self, core=getattr(self.engine, "core", None))
-            if self.config.incremental and not self.config.pipelined_shuffle
-            else None
-        )
+        self._scoped = self._new_scoped()
         if self._scoped is not None:
             self.engine._allocate_incremental = self._scoped.allocate
         self.events: list[SimEvent] = []
@@ -785,10 +801,9 @@ class Simulation:
             runs[key] = run.copy(token)
             run.owner = self._token
         new._live = set(self._live)
-        new._scoped = ScopedAllocator(new) if self._scoped is not None else None
+        new._scoped = new._new_scoped()
         new.engine = self.engine.fork(
-            new._allocate,
-            new._dispatch,
+            *_engine_callbacks(new),
             new._scoped.allocate if new._scoped is not None else None,
         )
         new.events = list(self.events)
@@ -810,6 +825,14 @@ class Simulation:
         new._watch_remaining = None
         new._ran = False
         return new
+
+    def _new_scoped(self) -> "ScopedAllocator | None":
+        """A scoped allocator over this simulation's capacity tables,
+        or ``None`` where the config needs the full allocator."""
+        if not self.config.incremental or self.config.pipelined_shuffle:
+            return None
+        return ScopedAllocator(self.topology, self._executors, self._disk_bw,
+                               self.config)
 
     def _own(self, key: "tuple[str, str]") -> _StageRun:
         """The run for ``key``, copied first if another simulation may
@@ -1323,6 +1346,10 @@ class Simulation:
     # ------------------------------------------------------------------ #
 
     def _allocate(self, items: list) -> None:
+        # The changes this full solve absorbs never reach the scoped
+        # allocator's change lists, so its class state goes stale.
+        if self._scoped is not None:
+            self._scoped.invalidate()
         demands: list[ComputeDemand] = []
         writes: list[DiskWrite] = []
         flows: list[NetworkFlow] = []
@@ -1406,27 +1433,39 @@ class Simulation:
         scaling down never violates capacity, so max-min feasibility is
         preserved.
         """
-        stages_at: dict[tuple[str, str], set] = {}
+        cpu: "dict[str, set]" = {}
+        disk: "dict[str, set]" = {}
+        net: "dict[str, set]" = {}
         if not self.config.task_granular:
             # With discrete tasks, executor slots already serialize CPU
             # contention; penalizing again would double-count.
             for d in demands:
-                stages_at.setdefault(("cpu", d.node), set()).add(d.stage_key)
+                cpu.setdefault(d.node, set()).add(d.stage_key)
         for w in writes:
-            stages_at.setdefault(("disk", w.node), set()).add(w.stage_key)
+            disk.setdefault(w.node, set()).add(w.stage_key)
         for f in flows:
-            stages_at.setdefault(("net", f.dst), set()).add(f.stage_key)
+            net.setdefault(f.dst, set()).add(f.stage_key)
 
-        def factor(kind: str, node: str) -> float:
-            n = len(stages_at.get((kind, node), ()))
-            return 1.0 / (1.0 + penalty * (n - 1)) if n > 1 else 1.0
+        def factors(stages_at: "dict[str, set]") -> "dict[str, float]":
+            # One factor per shared group; a lone stage keeps its rate.
+            return {
+                node: 1.0 / (1.0 + penalty * (len(stages) - 1))
+                for node, stages in stages_at.items()
+                if len(stages) > 1
+            }
 
-        for d in demands:
-            d.rate *= factor("cpu", d.node)
-        for w in writes:
-            w.rate *= factor("disk", w.node)
-        for f in flows:
-            f.rate *= factor("net", f.dst)
+        for members, by_node in ((demands, factors(cpu)), (writes, factors(disk))):
+            if by_node:
+                for item in members:
+                    factor = by_node.get(item.node)
+                    if factor is not None:
+                        item.rate *= factor
+        by_dst = factors(net)
+        if by_dst:
+            for f in flows:
+                factor = by_dst.get(f.dst)
+                if factor is not None:
+                    f.rate *= factor
 
     # ------------------------------------------------------------------ #
     # observability (repro.obs)

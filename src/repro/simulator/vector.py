@@ -60,14 +60,6 @@ the scalar engine does), on every :meth:`run` return, in
 enabled, and when dropping back to the scalar path.  In scalar mode the
 objects are authoritative and the arrays are not maintained at all
 (entering vector mode rebuilds them wholesale from the objects).
-
-While in vector mode the core also maintains the kind partition the
-scoped allocator needs (flows / per-node demands / per-node writes),
-updated O(1) per add/remove, so incremental allocation no longer pays a
-full type-dispatch scan of the active list per event.  Node identity
-stays a string key into per-node dicts rather than a dense node-index
-array: group membership changes O(1) per event, while an index-array
-mask scan would be O(n) per solve.
 """
 
 from __future__ import annotations
@@ -78,14 +70,7 @@ import math
 import numpy as np
 
 from repro.simulator.engine import EngineStalledError, FluidEngine, WorkItem
-from repro.simulator.flows import ComputeDemand, DiskWrite, NetworkFlow
 from repro.verify import sanitizer as _sanitizer
-
-#: Resource classes recorded in :attr:`VectorCore.kind` rows.
-KIND_OTHER = 0
-KIND_FLOW = 1
-KIND_DEMAND = 2
-KIND_WRITE = 3
 
 
 class VectorCore:
@@ -95,21 +80,12 @@ class VectorCore:
     ----------
     active:
         ``True`` while the owning engine is in vector mode and the
-        arrays/partitions below are authoritative.  Consumers (the
-        scoped allocator) must fall back to object scans when ``False``.
+        arrays below are authoritative.
     remaining, rate, thresh:
         Dense float64 arrays; row ``i`` mirrors the item at position
         ``i`` of the engine's active list.  ``thresh`` caches the
         completion threshold ``EPS * rate if rate > 1.0 else EPS`` so
         the completion mask is a single comparison per event.
-    kind:
-        Resource class per row (``KIND_*``), used to collect all active
-        flows in engine order with one ``np.flatnonzero``.
-    flows, demands_at, writes_at:
-        Kind partition of the active set for the scoped allocator:
-        insertion-ordered membership dicts (``flows``) and per-node
-        membership dicts keyed by node id.  Engine order is recovered
-        from positions, never from dict order.
     """
 
     __slots__ = (
@@ -117,12 +93,8 @@ class VectorCore:
         "remaining",
         "rate",
         "thresh",
-        "kind",
         "scratch",
         "mask",
-        "flows",
-        "demands_at",
-        "writes_at",
     )
 
     def __init__(self, capacity: int = 64) -> None:
@@ -130,13 +102,9 @@ class VectorCore:
         self.remaining = np.zeros(capacity)
         self.rate = np.zeros(capacity)
         self.thresh = np.zeros(capacity)
-        self.kind = np.zeros(capacity, dtype=np.int8)
         #: Reusable per-event buffers (per-item dt, boolean masks).
         self.scratch = np.zeros(capacity)
         self.mask = np.zeros(capacity, dtype=bool)
-        self.flows: "dict[NetworkFlow, None]" = {}
-        self.demands_at: "dict[str, dict[ComputeDemand, None]]" = {}
-        self.writes_at: "dict[str, dict[DiskWrite, None]]" = {}
 
     @property
     def capacity(self) -> int:
@@ -152,46 +120,10 @@ class VectorCore:
             new = np.zeros(cap)
             new[: len(old)] = old
             setattr(self, name, new)
-        old_kind = self.kind
-        self.kind = np.zeros(cap, dtype=np.int8)
-        self.kind[: len(old_kind)] = old_kind
         self.mask = np.zeros(cap, dtype=bool)
 
-    # ------------------------------------------------------------------ #
-    # kind partition (O(1) per membership change)
-    # ------------------------------------------------------------------ #
-
-    def track(self, item: WorkItem, pos: int) -> None:
-        cls = type(item)
-        if cls is NetworkFlow:
-            self.kind[pos] = KIND_FLOW
-            self.flows[item] = None
-        elif cls is ComputeDemand:
-            self.kind[pos] = KIND_DEMAND
-            group = self.demands_at.get(item.node)
-            if group is None:
-                group = self.demands_at[item.node] = {}
-            group[item] = None
-        elif cls is DiskWrite:
-            self.kind[pos] = KIND_WRITE
-            group = self.writes_at.get(item.node)
-            if group is None:
-                group = self.writes_at[item.node] = {}
-            group[item] = None
-        else:
-            self.kind[pos] = KIND_OTHER
-
-    def untrack(self, item: WorkItem) -> None:
-        cls = type(item)
-        if cls is NetworkFlow:
-            del self.flows[item]
-        elif cls is ComputeDemand:
-            del self.demands_at[item.node][item]
-        elif cls is DiskWrite:
-            del self.writes_at[item.node][item]
-
     def rebuild(self, items: "list[WorkItem]", eps: float) -> None:
-        """Re-materialize every row and partition from the objects.
+        """Re-materialize every row from the objects.
 
         Called when the engine enters vector mode; the objects are
         authoritative at that point, so a wholesale O(n) rebuild is
@@ -205,31 +137,6 @@ class VectorCore:
         self.remaining[:n] = [item.remaining for item in items]
         self.rate[:n] = rates
         self.thresh[:n] = [eps * r if r > 1.0 else eps for r in rates]
-        self.flows.clear()
-        self.demands_at.clear()
-        self.writes_at.clear()
-        track = self.track
-        for pos, item in enumerate(items):
-            track(item, pos)
-
-    def flows_in_engine_order(self, items: "list[WorkItem]") -> "list[NetworkFlow]":
-        """All active flows in engine (position) order.
-
-        Uses the ``kind`` array mask above a few dozen items, a
-        position sort of the membership dict below — both return the
-        identical list, so the switch is purely a speed knob.
-        """
-        n_flows = len(self.flows)
-        if n_flows == 0:
-            return []
-        if len(items) > 64:
-            idx = np.flatnonzero(self.kind[: len(items)] == KIND_FLOW)
-            return [items[i] for i in idx.tolist()]
-        return sorted(self.flows, key=_item_pos)
-
-
-def _item_pos(item: WorkItem) -> int:
-    return item._pos
 
 
 class VectorFluidEngine(FluidEngine):
@@ -309,19 +216,14 @@ class VectorFluidEngine(FluidEngine):
         self._sync_remaining()
         self._vmode = False
         self._rows_valid = 0
-        core = self.core
-        core.active = False
-        core.flows.clear()
-        core.demands_at.clear()
-        core.writes_at.clear()
+        self.core.active = False
 
     def _flush_adds(self) -> None:
         """Materialize array rows for items appended since the last
         flush (one slice assignment per array instead of per-item
         scalar stores).
 
-        Every code path that reads the arrays or the kind partition
-        flushes first: the top-of-event reallocation, the post-timer
+        Every code path that reads the arrays flushes first: the top-of-event reallocation, the post-timer
         completion scan, and :meth:`cancel_item`.  An append always sets
         ``_dirty``, so no advance or scan can run before the
         reallocation flush — unflushed rows never see a segment update.
@@ -340,9 +242,6 @@ class VectorFluidEngine(FluidEngine):
         core.rate[start:n] = rates
         eps = self.EPS
         core.thresh[start:n] = [eps * r if r > 1.0 else eps for r in rates]
-        track = core.track
-        for pos in range(start, n):
-            track(items[pos], pos)
         self._rows_valid = n
 
     # ------------------------------------------------------------------ #
@@ -388,10 +287,8 @@ class VectorFluidEngine(FluidEngine):
             core.remaining[pos] = core.remaining[tail]
             core.rate[pos] = core.rate[tail]
             core.thresh[pos] = core.thresh[tail]
-            core.kind[pos] = core.kind[tail]
         item._pos = -1
         self._rows_valid = tail
-        core.untrack(item)
 
     def _remove_batch(self, completed: "list[WorkItem]") -> None:
         """Remove a completion batch, deferring the array row copies.
@@ -414,7 +311,6 @@ class VectorFluidEngine(FluidEngine):
         """
         items = self._items
         core = self.core
-        untrack = core.untrack
         moves: "dict[int, int]" = {}
         row_of: "dict[WorkItem, int]" = {}
         for item in completed:
@@ -430,7 +326,6 @@ class VectorFluidEngine(FluidEngine):
                     src = row_of[last] = len(items)
                 moves[pos] = src
             item._pos = -1
-            untrack(item)
         n = len(items)
         self._rows_valid = n
         dsts = [d for d in moves if d < n]
@@ -440,7 +335,6 @@ class VectorFluidEngine(FluidEngine):
         core.remaining[dsts] = core.remaining[srcs]
         core.rate[dsts] = core.rate[srcs]
         core.thresh[dsts] = core.thresh[srcs]
-        core.kind[dsts] = core.kind[srcs]
 
     def cancel_item(self, item: WorkItem) -> bool:
         if item._pos < 0:

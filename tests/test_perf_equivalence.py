@@ -8,6 +8,7 @@ every comparison below is ``==`` on floats, never ``pytest.approx``.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import io
 import math
@@ -15,19 +16,21 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster.spec import uniform_cluster
+from repro.cluster.spec import alibaba_sim_cluster, uniform_cluster
 from repro.core.delaystage import DelayStageParams, delay_stage_schedule
 from repro.model.interference import (
     WithheldTrajectory,
     evaluate_schedule,
     probe_schedule,
 )
+from repro.simulator import incremental as scoped_module
 from repro.simulator.simulation import (
     FixedDelayPolicy,
     ImmediatePolicy,
     Simulation,
     SimulationConfig,
 )
+from repro.simulator.vector import VectorFluidEngine
 from repro.workloads.synthetic import random_job
 
 
@@ -49,15 +52,54 @@ def _cluster():
     )
 
 
-def _run(jobs, *, incremental: bool, penalty: float = 0.0):
+def _hetero_cluster(seed: int):
+    """The benchmark's cluster shape: heterogeneous NICs, one storage
+    node."""
+    return alibaba_sim_cluster(
+        num_machines=3, storage_nodes=1, nic_mbps_range=(600, 2000), rng=seed,
+    )
+
+
+def _run(jobs, *, incremental: bool, penalty: float = 0.0, cluster=None,
+         degradations=(), granular: bool = False):
     cfg = SimulationConfig(
         track_metrics=False, contention_penalty=penalty,
-        incremental=incremental,
+        incremental=incremental, task_granular=granular,
     )
-    sim = Simulation(_cluster(), cfg)
+    sim = Simulation(cluster or _cluster(), cfg)
     for job in jobs:
         sim.add_job(job, ImmediatePolicy())
-    return sim.run()
+    for node, time, factors in degradations:
+        sim.inject_degradation(node, time, **factors)
+    result = sim.run()
+    result.engine = sim.engine
+    return result
+
+
+@contextlib.contextmanager
+def _vector_mode_and_peak_flows():
+    """Force the vector engine into vector mode from its first event and
+    record the most flows one class water-filling saw (``peak[0]``)."""
+    forced = {"ENTER_VECTOR_N": 1, "EXIT_VECTOR_N": 0,
+              "CHURN_EXIT_RATIO": math.inf, "CHURN_ENTER_RATIO": math.inf,
+              "ENTER_CALM_EVENTS": 0}
+    saved = {name: getattr(VectorFluidEngine, name) for name in forced}
+    solve = scoped_module.maxmin_class_rates
+    peak = [0]
+
+    def spy(srcs, dsts, counts, topology):
+        peak[0] = max(peak[0], sum(counts))
+        return solve(srcs, dsts, counts, topology)
+
+    for name, value in forced.items():
+        setattr(VectorFluidEngine, name, value)
+    scoped_module.maxmin_class_rates = spy
+    try:
+        yield peak
+    finally:
+        scoped_module.maxmin_class_rates = solve
+        for name, value in saved.items():
+            setattr(VectorFluidEngine, name, value)
 
 
 def _assert_results_identical(a, b) -> None:
@@ -79,16 +121,107 @@ def _assert_results_identical(a, b) -> None:
     num_stages=st.integers(2, 9),
     num_jobs=st.integers(1, 3),
     penalty=st.sampled_from([0.0, 0.5]),
+    hetero=st.booleans(),
 )
-def test_incremental_allocator_bit_identical(seed, num_stages, num_jobs, penalty):
+def test_incremental_allocator_bit_identical(seed, num_stages, num_jobs, penalty,
+                                             hetero):
     jobs = [
         random_job(num_stages, job_id=f"J{i}", parallelism=0.6,
                    rng=seed * 7 + i)
         for i in range(num_jobs)
     ]
-    full = _run(jobs, incremental=False, penalty=penalty)
-    scoped = _run(jobs, incremental=True, penalty=penalty)
+    cluster = _hetero_cluster(seed) if hetero else _cluster()
+    full = _run(jobs, incremental=False, penalty=penalty, cluster=cluster)
+    scoped = _run(jobs, incremental=True, penalty=penalty, cluster=cluster)
     _assert_results_identical(scoped, full)
+
+
+@pytest.mark.parametrize("seed,penalty", [(0, 0.0), (1, 0.5), (2, 0.5)])
+def test_incremental_allocator_bit_identical_wide(seed, penalty):
+    """Many concurrent jobs on heterogeneous NICs: the class
+    water-filling sees more than 32 flows (where the full allocator's
+    solver switches to numpy) and the vector engine scatters only the
+    rows the scoped solve touched."""
+    jobs = [random_job(6, job_id=f"J{i}", parallelism=0.7, rng=seed * 31 + i)
+            for i in range(8)]
+    cluster = _hetero_cluster(seed)
+    full = _run(jobs, incremental=False, penalty=penalty, cluster=cluster)
+    with _vector_mode_and_peak_flows() as peak:
+        scoped = _run(jobs, incremental=True, penalty=penalty, cluster=cluster)
+    assert peak[0] > 32
+    assert scoped.engine.incremental_allocations > 0
+    _assert_results_identical(scoped, full)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    penalty=st.sampled_from([0.0, 0.5]),
+    granular=st.booleans(),
+    data=st.data(),
+)
+def test_incremental_allocator_resyncs_after_degradation(seed, penalty,
+                                                         granular, data):
+    """A degradation forces a full allocation behind the scoped
+    allocator's back; its next solve rebuilds the class state.  At a
+    stage boundary the full solve also absorbs that instant's item
+    changes, which the class state must not miss."""
+    jobs = [random_job(5, job_id=f"J{i}", parallelism=0.6, rng=seed * 5 + i)
+            for i in range(3)]
+    cluster = _hetero_cluster(seed)
+    nodes = [n.node_id for n in cluster.nodes]
+    healthy = _run(jobs, incremental=False, penalty=penalty, cluster=cluster,
+                   granular=granular)
+    boundaries = sorted({r.finish_time for r in healthy.stage_records.values()})
+    when = st.one_of(st.floats(0.0, 30.0), st.sampled_from(boundaries))
+    degradations = [
+        (data.draw(st.sampled_from(nodes)), data.draw(when),
+         {"nic_factor": data.draw(st.sampled_from([0.3, 1.0, 2.0])),
+          "disk_factor": data.draw(st.sampled_from([0.5, 1.0])),
+          "executor_factor": 1.0 if granular else data.draw(
+              st.sampled_from([0.5, 1.0]))})
+        for _ in range(data.draw(st.integers(1, 3)))
+    ]
+    full = _run(jobs, incremental=False, penalty=penalty, cluster=cluster,
+                degradations=degradations, granular=granular)
+    scoped = _run(jobs, incremental=True, penalty=penalty, cluster=cluster,
+                  degradations=degradations, granular=granular)
+    # The start, plus one per degradation that fired before the end.
+    assert scoped.engine.full_allocations >= 2 or all(
+        t > scoped.makespan for _, t, _ in degradations)
+    _assert_results_identical(scoped, full)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    num_stages=st.integers(3, 7),
+    penalty=st.sampled_from([0.0, 0.5]),
+    granular=st.booleans(),
+    data=st.data(),
+)
+def test_forked_scoped_runs_match_full_allocator(seed, num_stages, penalty,
+                                                 granular, data):
+    """Every fork builds its class state from its cloned items; a
+    forked scoped run matches an unforked run of the full allocator."""
+    job = random_job(num_stages, parallelism=0.7, rng=seed)
+    cluster = _hetero_cluster(seed)
+    cfg = SimulationConfig(track_metrics=False, contention_penalty=penalty,
+                           task_granular=granular, vector=False)
+    held = data.draw(st.sampled_from(list(job.stage_ids)))
+    xs = sorted(data.draw(st.lists(st.floats(0.0, 30.0), min_size=1,
+                                   max_size=3)))
+    base = Simulation(cluster, cfg)
+    base.add_job(job, FixedDelayPolicy({}))
+    base.withhold(job.job_id, held)
+    for x in xs:
+        base.advance_withheld(x)
+        fork = base.fork()
+        fork.release(x)
+        reference = Simulation(
+            cluster, dataclasses.replace(cfg, incremental=False))
+        reference.add_job(job, FixedDelayPolicy({held: x}))
+        _assert_results_identical(fork.run(), reference.run())
 
 
 def test_incremental_eventlog_seed_identical():

@@ -1,5 +1,6 @@
 """Max-min fair sharing: network water-filling, executor and disk splits."""
 
+import collections
 import math
 
 import numpy as np
@@ -8,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cluster import Topology, uniform_cluster
 from repro.simulator.fairshare import (
+    _maxmin_small,
     compute_shares,
     disk_shares,
+    maxmin_class_rates,
     maxmin_network_rates,
 )
 from repro.simulator.flows import ComputeDemand, DiskWrite, NetworkFlow
@@ -147,6 +150,89 @@ def test_maxmin_feasible_and_saturating(n_flows, seed):
         egress_sat = egress_used[f.src] >= 80.0 - 1e-6
         ingress_sat = ingress_used[f.dst] >= 80.0 - 1e-6
         assert at_cap or egress_sat or ingress_sat
+
+
+# --------------------------------------------------------------------- #
+# class water-filling: flows grouped by (src, dst) pair
+
+
+@st.composite
+def _flow_multisets(draw):
+    """A cluster of 2-12 nodes with heterogeneous NICs (repeated values
+    included, so bottlenecks tie) and a multiset of up to 80 (src, dst)
+    pairs over it."""
+    n_nodes = draw(st.integers(2, 12))
+    capacity = st.one_of(
+        st.sampled_from([12.5e6, 50e6, 125e6, 250e6]),
+        st.floats(1e6, 250e6, allow_nan=False, allow_infinity=False),
+    )
+    caps = draw(st.lists(capacity, min_size=2 * n_nodes, max_size=2 * n_nodes))
+    t = Topology(uniform_cluster(n_nodes - 1, storage_nodes=1))
+    t.egress_capacity[:] = caps[:n_nodes]
+    t.ingress_capacity[:] = caps[n_nodes:]
+    pair = st.tuples(st.integers(0, n_nodes - 1), st.integers(0, n_nodes - 1))
+    # Half the cases exceed 32 flows, where the numpy path takes over.
+    n_flows = draw(st.one_of(st.integers(1, 32), st.integers(33, 80)))
+    pairs = draw(st.lists(pair.filter(lambda p: p[0] != p[1]),
+                          min_size=n_flows, max_size=n_flows))
+    flows = [flow(t.node_ids[a], t.node_ids[b]) for a, b in pairs]
+    return t, flows
+
+
+def _class_rates(flows, t):
+    """Per-flow rates from one class solve over ``flows``' pairs."""
+    counts = collections.Counter((f.src, f.dst) for f in flows)
+    pairs = list(counts)
+    rates = maxmin_class_rates(
+        [t.index[s] for s, _ in pairs], [t.index[d] for _, d in pairs],
+        [counts[p] for p in pairs], t,
+    )
+    by_pair = dict(zip(pairs, rates))
+    return [by_pair[(f.src, f.dst)] for f in flows]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_flow_multisets())
+def test_class_water_filling_equals_per_flow_solvers(case):
+    """Bit-identical to both per-flow paths: the pure-Python one at any
+    size, and the numpy one (which it takes above 32 flows)."""
+    t, flows = case
+    rates = _class_rates(flows, t)
+    assert rates == _maxmin_small(flows, t)
+    if len(flows) > 32:
+        assert rates == maxmin_network_rates(flows, t).tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_flow_multisets(), st.randoms(use_true_random=False))
+def test_water_filling_invariant_under_flow_order(case, rnd):
+    t, flows = case
+    shuffled = list(flows)
+    rnd.shuffle(shuffled)
+    expected = dict(zip(map(id, flows), _maxmin_small(flows, t)))
+    assert _maxmin_small(shuffled, t) == [expected[id(f)] for f in shuffled]
+    assert _class_rates(shuffled, t) == [expected[id(f)] for f in shuffled]
+    if len(flows) > 32:
+        numpy_rates = maxmin_network_rates(shuffled, t).tolist()
+        assert numpy_rates == [expected[id(f)] for f in shuffled]
+
+
+def test_class_water_filling_counts_multiplicity():
+    """Three flows of one pair share its NICs three ways; the lone flow
+    of another pair keeps the rest of the shared egress."""
+    t = topo()
+    w0, w1, w2 = (t.index[n] for n in ("w0", "w1", "w2"))
+    assert maxmin_class_rates([w0, w0], [w1, w2], [3, 1], t) == [20.0, 20.0]
+    t.ingress_capacity[w1] = 30.0
+    t.invalidate()
+    assert maxmin_class_rates([w0, w0], [w1, w2], [3, 1], t) == [10.0, 50.0]
+
+
+def test_class_water_filling_rejects_capped_topologies():
+    t = topo()
+    t.set_pair_capacity("w0", "w1", 7.0)
+    with pytest.raises(ValueError, match="uncapped"):
+        maxmin_class_rates([t.index["w0"]], [t.index["w1"]], [1], t)
 
 
 def test_compute_shares_equal_split():

@@ -287,3 +287,46 @@ def test_fanin_limits_sources(small_cluster):
     # With fanin=1 each worker reads its whole remote share from one
     # storage node; the job still completes and reads everything.
     assert res.stage("one", "S").read_time > 0
+
+
+@pytest.mark.parametrize("case", ["vector", "scalar", "fork", "forked-run",
+                                  "faults"])
+def test_simulations_free_without_the_cycle_collector(case, small_cluster,
+                                                      diamond_job):
+    """No reference cycle keeps a simulation alive: its engine, scoped
+    allocator, forks and fault injector reach it weakly, so the last
+    ``del`` frees it even with the cyclic collector off."""
+    import gc
+    import weakref
+
+    from repro.faults import generate_plan
+
+    plan = None
+    if case == "faults":
+        plan = generate_plan(small_cluster, 3, jobs=[diamond_job],
+                             num_events=3)
+    forks = case in ("fork", "forked-run")
+    cfg = SimulationConfig(vector=case == "vector", fault_plan=plan,
+                           track_metrics=not forks)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        sim = Simulation(small_cluster, cfg)
+        sim.add_job(diamond_job, ImmediatePolicy())
+        if forks:
+            # The fork must die while its base lives on.
+            base = sim
+            base.withhold(diamond_job.job_id, "S2")
+            base.advance_withheld(1.0)
+            sim = base.fork()
+            sim.release(1.0)
+            if case == "forked-run":
+                sim.run()
+        else:
+            sim.run()
+        ref = weakref.ref(sim)
+        del sim
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()

@@ -37,12 +37,7 @@ from repro.simulator.simulation import (
     Simulation,
     SimulationConfig,
 )
-from repro.simulator.vector import (
-    KIND_DEMAND,
-    KIND_FLOW,
-    VectorCore,
-    VectorFluidEngine,
-)
+from repro.simulator.vector import VectorCore, VectorFluidEngine
 from repro.workloads.synthetic import random_job
 
 
@@ -372,22 +367,18 @@ def test_core_grow_preserves_rows():
     assert core.rate[:4].tolist() == [0.1, 0.2, 0.3, 0.4]
 
 
-def test_core_rebuild_and_partition():
-    from repro.simulator.flows import ComputeDemand, NetworkFlow
-
-    flow = NetworkFlow("a", "b", 5.0, ("J", "s1"))
-    demand = ComputeDemand("a", 3.0, ("J", "s1"), 1.0)
-    items = [flow, demand]
-    for pos, item in enumerate(items):
+def test_core_rebuild_materializes_rows():
+    """Entering vector mode copies every item's volume and rate into its
+    row, growing the arrays to fit."""
+    items = [WorkItem(5.0), WorkItem(3.0)]
+    for pos, (item, rate) in enumerate(zip(items, (2.0, 0.5))):
+        item.rate = rate
         item._pos = pos
-    core = VectorCore()
+    core = VectorCore(capacity=1)
     core.rebuild(items, eps=1e-9)
-    assert core.kind[0] == KIND_FLOW and core.kind[1] == KIND_DEMAND
-    assert list(core.flows) == [flow]
-    assert list(core.demands_at["a"]) == [demand]
-    assert core.flows_in_engine_order(items) == [flow]
-    core.untrack(flow)
-    assert core.flows_in_engine_order(items) == []
+    assert core.capacity == 2
+    assert core.remaining[:2].tolist() == [5.0, 3.0]
+    assert core.rate[:2].tolist() == [2.0, 0.5]
 
 
 def test_core_thresh_follows_rate_rule():
